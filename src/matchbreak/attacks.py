@@ -48,9 +48,15 @@ class ReconstructionResult:
 
 
 class Attack:
-    """Base class wiring query accounting and timing around an attack run."""
+    """Base class wiring query accounting and timing around an attack run.
+
+    Each subclass is a dataclass of its parameters, and names itself, the
+    oracle mode it attacks and the metric it needs (``None``: either).
+    """
 
     name: ClassVar[str]
+    mode: ClassVar[OracleMode]
+    metric: ClassVar[Metric | None] = None
 
     def reconstruct(
         self,
@@ -60,12 +66,13 @@ class Attack:
         seed: SeedLike = 0,
         breaking_set: BreakingSet | None = None,
     ) -> ReconstructionResult:
+        _require(oracle, self.mode, self.metric, self.name)
         rng = as_generator(seed)
         queries_before = oracle.queries
         started = time.perf_counter()
         values, unit, extras = self._run(oracle, claim, rng, breaking_set)
         elapsed = time.perf_counter() - started
-        params = self._public_params()
+        params = dataclasses.asdict(self)
         params.update(extras)
         return ReconstructionResult(
             recovered=Template(values, unit=unit),
@@ -74,11 +81,6 @@ class Attack:
             attack_name=self.name,
             params=params,
         )
-
-    def _public_params(self) -> dict:
-        if dataclasses.is_dataclass(self):
-            return dataclasses.asdict(self)
-        return dict(vars(self))
 
     def _run(self, oracle, claim, rng, breaking_set):
         raise NotImplementedError
@@ -108,27 +110,19 @@ class SedScoreAttack(Attack):
     resample_attempts: int = 4
 
     name: ClassVar[str] = "score-sed"
+    mode: ClassVar[OracleMode] = OracleMode.SCORE
+    metric: ClassVar[Metric] = Metric.SED
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=1)
         check_count(self.resample_attempts, "resample_attempts", minimum=0)
 
     def _run(self, oracle, claim, rng, breaking_set):
-        _require(oracle, OracleMode.SCORE, Metric.SED, self.name)
         d = self.dim
-        last_error = None
-        for attempt in range(self.resample_attempts + 1):
-            probes = rng.standard_normal((d + 1, d))
-            scores = np.array([oracle.authenticate_score(claim, q) for q in probes])
-            try:
-                center = sphere_center(probes, scores)
-            except SingularSystemError as exc:
-                last_error = exc
-                continue
-            return center, False, {"probe_resamples": attempt}
-        raise SingularSystemError(
-            f"probe geometry stayed singular after {self.resample_attempts} resamples"
-        ) from last_error
+        center, extras = _solve_scores(
+            self, oracle, claim, lambda: rng.standard_normal((d + 1, d)), sphere_center
+        )
+        return center, False, extras
 
 
 @dataclass(frozen=True)
@@ -144,27 +138,35 @@ class CosineScoreAttack(Attack):
     resample_attempts: int = 4
 
     name: ClassVar[str] = "score-cos"
+    mode: ClassVar[OracleMode] = OracleMode.SCORE
+    metric: ClassVar[Metric] = Metric.COSINE
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=1)
         check_count(self.resample_attempts, "resample_attempts", minimum=0)
 
     def _run(self, oracle, claim, rng, breaking_set):
-        _require(oracle, OracleMode.SCORE, Metric.COSINE, self.name)
-        d = self.dim
-        last_error = None
-        for attempt in range(self.resample_attempts + 1):
-            probes = _orthonormal_probes(rng, d)
-            scores = np.array([oracle.authenticate_score(claim, q) for q in probes])
-            try:
-                direction = solve_linear_system(probes, scores)
-            except SingularSystemError as exc:
-                last_error = exc
-                continue
-            return normalize(direction).values, True, {"probe_resamples": attempt}
-        raise SingularSystemError(
-            f"probe geometry stayed singular after {self.resample_attempts} resamples"
-        ) from last_error
+        direction, extras = _solve_scores(
+            self, oracle, claim, lambda: _orthonormal_probes(rng, self.dim), solve_linear_system
+        )
+        return normalize(direction).values, True, extras
+
+
+def _solve_scores(attack, oracle, claim, draw_probes, solve):
+    """Solve the released scores of drawn probes, drawing fresh probes
+    (up to ``attack.resample_attempts`` times) while the solver refuses
+    their system."""
+    last_error = None
+    for attempt in range(attack.resample_attempts + 1):
+        probes = draw_probes()
+        scores = np.array([oracle.authenticate_score(claim, q) for q in probes])
+        try:
+            return solve(probes, scores), {"probe_resamples": attempt}
+        except SingularSystemError as exc:
+            last_error = exc
+    raise SingularSystemError(
+        f"probe geometry stayed singular after {attack.resample_attempts} resamples"
+    ) from last_error
 
 
 def _orthonormal_probes(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -189,6 +191,7 @@ class HillClimbAttack(Attack):
     record_trace: bool = False
 
     name: ClassVar[str] = "hill"
+    mode: ClassVar[OracleMode] = OracleMode.SCORE
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=1)
@@ -196,7 +199,6 @@ class HillClimbAttack(Attack):
         check_count(self.budget, "budget", minimum=0)
 
     def _run(self, oracle, claim, rng, breaking_set):
-        _require(oracle, OracleMode.SCORE, None, self.name)
         metric = oracle.metric
         improves = (lambda s, best: s < best) if metric is Metric.SED else (lambda s, best: s > best)
 
@@ -228,13 +230,13 @@ class AcceptAverageAttack(Attack):
     budget: int | None = None
 
     name: ClassVar[str] = "binary-baseline"
+    mode: ClassVar[OracleMode] = OracleMode.BINARY
 
     def __post_init__(self):
         if self.budget is not None:
             check_count(self.budget, "budget", minimum=1)
 
     def _run(self, oracle, claim, rng, breaking_set):
-        _require(oracle, OracleMode.BINARY, None, self.name)
         if breaking_set is None:
             raise ValueError(f"{self.name} requires a breaking set")
         members = breaking_set.members if self.budget is None else breaking_set.members[: self.budget]
@@ -329,6 +331,9 @@ class BoundarySearchAttack(Attack):
     distance from the enrolled template, which is recovered as their common
     sphere center. ``threshold_estimate`` is in score units (squared
     distance); its square root is the geometric radius used for bracketing.
+    When the solver refuses the points' system as ill-conditioned, one
+    point is redrawn (``precision`` more queries), up to
+    ``resample_attempts`` times.
     """
 
     dim: int
@@ -339,6 +344,8 @@ class BoundarySearchAttack(Attack):
     max_direction_redraws: int = 8
 
     name: ClassVar[str] = "binary-ours"
+    mode: ClassVar[OracleMode] = OracleMode.BINARY
+    metric: ClassVar[Metric] = Metric.SED
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=1)
@@ -350,7 +357,6 @@ class BoundarySearchAttack(Attack):
         check_count(self.max_direction_redraws, "max_direction_redraws", minimum=0)
 
     def _run(self, oracle, claim, rng, breaking_set):
-        _require(oracle, OracleMode.BINARY, Metric.SED, self.name)
         if breaking_set is None:
             raise ValueError(f"{self.name} requires a breaking set")
         seed_member, seed_attempts = find_seed_match(
@@ -404,17 +410,12 @@ ATTACKS: dict[str, type[Attack]] = {
     )
 }
 
-ATTACK_MODES: dict[str, OracleMode] = {
-    SedScoreAttack.name: OracleMode.SCORE,
-    CosineScoreAttack.name: OracleMode.SCORE,
-    HillClimbAttack.name: OracleMode.SCORE,
-    AcceptAverageAttack.name: OracleMode.BINARY,
-    BoundarySearchAttack.name: OracleMode.BINARY,
-}
-
-
-def make_attack(name: str, *, dim: int | None = None, **params) -> Attack:
-    """Instantiate an attack by its registry name."""
+def make_attack(
+    name: str, *, dim: int | None = None, threshold: float | None = None, **params
+) -> Attack:
+    """Instantiate an attack by its registry name. ``dim`` and the oracle's
+    ``threshold`` fill the fields ``dim`` and ``threshold_estimate`` where
+    the attack has them and ``params`` leaves them unset."""
     try:
         cls = ATTACKS[name]
     except KeyError:
@@ -422,8 +423,9 @@ def make_attack(name: str, *, dim: int | None = None, **params) -> Attack:
         raise ValueError(f"unknown attack {name!r}; known attacks: {known}") from None
     field_names = {f.name for f in dataclasses.fields(cls)}
     kwargs = dict(params)
-    if "dim" in field_names and dim is not None and "dim" not in kwargs:
-        kwargs["dim"] = dim
+    for field, value in (("dim", dim), ("threshold_estimate", threshold)):
+        if field in field_names and value is not None and field not in kwargs:
+            kwargs[field] = value
     unknown = sorted(set(kwargs) - field_names)
     if unknown:
         raise ValueError(f"unknown parameter(s) for {name}: {', '.join(unknown)}")

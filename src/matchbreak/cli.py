@@ -16,16 +16,16 @@ Summaries go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
-from .attacks import ATTACK_MODES, ATTACKS, make_attack
-from .errors import AttackFailedError, MatchbreakError, SingularSystemError
+from .attacks import ATTACKS, make_attack
+from .errors import ATTACK_FAILURES, MatchbreakError
 from .evaluation import (
     ExperimentConfig,
-    calibrate_for_model,
     format_report,
     load_report,
     passes_system,
@@ -36,10 +36,17 @@ from .evaluation import (
     write_report_csv,
     write_report_json,
 )
-from .matcher import MatchingOracle, Metric, OracleConfig, OracleMode
+from .matcher import Metric
 from .netoracle import RemoteOracle, server_from_config
 from .rng import make_rng
-from .synth import enrollment_template, gen_breaking_set, gen_identity_model, load_model, save_model
+from .synth import (
+    build_scenario,
+    calibrate_for_model,
+    enrollment_template,
+    gen_identity_model,
+    load_model,
+    save_model,
+)
 from .templates import write_template
 
 
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True, help="identity index to reconstruct")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--metric", choices=[m.value for m in Metric], default=None,
-                   help="default: cosine for score-cos, sed otherwise")
+                   help="default: the attack's own metric, sed for attacks that take either")
     p.add_argument("--fmr", type=float, default=0.01)
     p.add_argument("--pairs", type=int, default=100000, help="calibration sample size")
     p.add_argument("--noise", type=float, default=0.0, help="oracle score noise sigma")
@@ -85,9 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit-norm", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--remote", help="host:port of a served oracle (default: in-process)")
     p.add_argument("--breaking-set-size", type=int, default=4000)
+    # Attack parameters: each flag's dest is the attack's dataclass field it
+    # sets, and an unset flag leaves that field's own default.
     p.add_argument("--budget", type=int, default=None, help="query budget (hill, binary-baseline)")
-    p.add_argument("--step-size", type=float, default=0.07, help="hill-climb step size")
-    p.add_argument("--precision", type=int, default=20, help="bisection steps per boundary point")
+    p.add_argument("--step-size", type=float, default=None, help="hill-climb step size")
+    p.add_argument("--precision", type=int, default=None, help="bisection steps per boundary point")
     p.add_argument("--threshold-estimate", type=float, default=None,
                    help="attacker-side threshold guess (default: the calibrated value)")
     p.add_argument("--max-seed-attempts", type=int, default=None)
@@ -96,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a batch grid and write reports")
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--num-targets", type=int, default=None, help="override the config target count")
     p.set_defaults(func=cmd_experiment)
@@ -144,7 +152,7 @@ def cmd_calibrate(args) -> int:
             "sample_size": result.sample_size,
             "target_fmr": args.fmr,
         }
-        Path(args.json_out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(args.json_out, doc)
     return 0
 
 
@@ -165,62 +173,45 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _attack_params(args, threshold_value: float) -> dict:
-    params: dict = {}
-    if args.name == "hill":
-        params["step_size"] = args.step_size
-        if args.budget is not None:
-            params["budget"] = args.budget
-    elif args.name == "binary-baseline":
-        if args.budget is not None:
-            params["budget"] = args.budget
-    elif args.name == "binary-ours":
-        params["precision"] = args.precision
-        params["threshold_estimate"] = (
-            args.threshold_estimate if args.threshold_estimate is not None else threshold_value
-        )
-        if args.max_seed_attempts is not None:
-            params["max_seed_attempts"] = args.max_seed_attempts
-    return params
+def _attack_params(args) -> dict:
+    """The attack fields set on the command line (``dim`` comes from the model)."""
+    fields = (f.name for f in dataclasses.fields(ATTACKS[args.name]) if f.name != "dim")
+    return {name: getattr(args, name) for name in fields if getattr(args, name, None) is not None}
 
 
 def cmd_attack(args) -> int:
     model = load_model(args.model)
     if not 0 <= args.target < model.num_identities:
         raise UsageError(f"target must be in [0, {model.num_identities})")
-    if args.metric is not None:
-        metric = Metric(args.metric)
-    else:
-        metric = Metric.COSINE if args.name == "score-cos" else Metric.SED
-    mode = ATTACK_MODES[args.name]
-    calibration = calibrate_for_model(
-        model, metric, args.fmr,
-        pairs=args.pairs, unit_norm=args.unit_norm,
-        seed=make_rng(args.seed, "cli-calibration"),
+    attack_cls = ATTACKS[args.name]
+    metric = Metric(args.metric or attack_cls.metric or Metric.SED)
+    oracle, breaking_set = build_scenario(
+        model, metric, attack_cls.mode, [args.target],
+        fmr=args.fmr,
+        calibration_pairs=args.pairs,
+        calibration_seed=make_rng(args.seed, "cli-calibration"),
+        noise_sigma=args.noise,
+        noise_seed=make_rng(args.seed, "cli-noise"),
+        query_limit=args.query_limit,
+        unit_norm=args.unit_norm,
+        breaking_set_size=args.breaking_set_size,
+        breaking_set_seed=make_rng(args.seed, "cli-breaking-set"),
     )
-    threshold = calibration.threshold
+    threshold = oracle.threshold
     truth = enrollment_template(model, args.target, unit_norm=args.unit_norm)
-
     if args.remote:
-        oracle = RemoteOracle(args.remote, metric=metric, mode=mode)
-    else:
-        oracle = MatchingOracle(
-            OracleConfig(metric=metric, mode=mode, threshold=threshold,
-                         noise_sigma=args.noise, query_limit=args.query_limit),
-            noise_seed=make_rng(args.seed, "cli-noise"),
-        )
-        oracle.enroll(str(args.target), truth.values)
-
-    breaking_set = None
-    if mode is OracleMode.BINARY:
-        breaking_set = gen_breaking_set(
-            model, args.target, args.breaking_set_size,
-            unit_norm=args.unit_norm, seed=make_rng(args.seed, "cli-breaking-set"),
-        )
-    attack = make_attack(args.name, dim=model.dim, **_attack_params(args, threshold.value))
+        oracle = RemoteOracle(args.remote, metric=metric, mode=attack_cls.mode)
+    attack = make_attack(args.name, dim=model.dim, threshold=threshold.value, **_attack_params(args))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    doc = {
+        "attack": args.name,
+        "target": args.target,
+        "metric": metric.value,
+        "fmr": args.fmr,
+        "threshold": threshold.value,
+    }
     started = time.perf_counter()
     try:
         result = attack.reconstruct(
@@ -228,37 +219,19 @@ def cmd_attack(args) -> int:
             seed=make_rng(args.seed, "cli-attack"),
             breaking_set=breaking_set,
         )
-    except (AttackFailedError, SingularSystemError) as exc:
-        doc = {
-            "attack": args.name,
-            "target": args.target,
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-            "queries": oracle.queries,
-            "time_s": time.perf_counter() - started,
-        }
-        (out_dir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                                             encoding="utf-8")
+    except ATTACK_FAILURES as exc:
+        doc.update(error=str(exc), error_type=type(exc).__name__,
+                   queries=oracle.queries, time_s=time.perf_counter() - started)
+        _write_json(out_dir / "result.json", doc)
         print(f"attack failed: {exc}", file=sys.stderr)
         return 1
 
     loss = reconstruction_loss(result.recovered.values, truth.values, metric)
     passed = passes_system(result.recovered.values, truth.values, threshold)
     write_template(result.recovered, out_dir / "recovered.tpl")
-    doc = {
-        "attack": result.attack_name,
-        "target": args.target,
-        "metric": metric.value,
-        "fmr": args.fmr,
-        "threshold": threshold.value,
-        "queries": result.queries_used,
-        "time_s": result.wall_time_seconds,
-        "loss": loss,
-        "passed": passed,
-        "params": _json_safe(result.params),
-    }
-    (out_dir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                                         encoding="utf-8")
+    doc.update(queries=result.queries_used, time_s=result.wall_time_seconds,
+               loss=loss, passed=passed, params=_json_safe(result.params))
+    _write_json(out_dir / "result.json", doc)
     print(f"attack={result.attack_name} target={args.target} queries={result.queries_used} "
           f"loss={loss:.6e} passed={str(passed).lower()} time_s={result.wall_time_seconds:.3f}")
     return 0
@@ -271,7 +244,7 @@ def cmd_experiment(args) -> int:
     if args.num_targets is not None:
         doc["num_targets"] = args.num_targets
     config = ExperimentConfig.from_dict(doc)
-    report = run_experiment(config, jobs=args.jobs)
+    report = run_experiment(config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,6 +269,10 @@ def cmd_report(args) -> int:
     if args.csv_out:
         write_report_csv(report, args.csv_out)
     return 0
+
+
+def _write_json(path, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _json_safe(value):

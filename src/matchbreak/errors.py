@@ -18,7 +18,7 @@ class DimensionMismatchError(MatchbreakError, ValueError):
 
 
 class SingularSystemError(MatchbreakError, ArithmeticError):
-    """A linear system offered no trustworthy pivot.
+    """A linear system was singular, or too ill-conditioned to trust.
 
     Callers that chose the system's rows (probe sets, boundary points) are
     expected to catch this and resample rather than accept a garbage solution.
@@ -65,3 +65,9 @@ class WireProtocolError(MatchbreakError, RuntimeError):
     def __init__(self, message: str, code: str | None = None):
         super().__init__(message)
         self.code = code
+
+
+# What an attack run can end with that a harness records as a failed attempt
+# rather than a crash: the attack gave up, its probe geometry stayed
+# singular, or the oracle locked the claimed identity out.
+ATTACK_FAILURES = (AttackFailedError, SingularSystemError, LockedOutError)

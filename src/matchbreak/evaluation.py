@@ -2,10 +2,10 @@
 
 A run sweeps targets x attacks x false-match rates over one synthetic
 population, records one row per attempt, and aggregates per attack and rate.
-Rows are deterministic given the config: every row derives its own random
-streams from the config seed and its grid position, so results do not depend
-on execution order or the number of worker threads. Wall-clock fields are the
-only nondeterministic part; the report fingerprint excludes them.
+Rows run one after another and are deterministic given the config: every
+row derives its own random streams from the config seed and its grid
+position. Wall-clock fields are the only nondeterministic part; the report
+fingerprint excludes them.
 """
 
 from __future__ import annotations
@@ -14,31 +14,21 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .attacks import ATTACK_MODES, make_attack
-from .errors import AttackFailedError, LockedOutError, SingularSystemError
-from .matcher import (
-    CalibrationResult,
-    MatchingOracle,
-    Metric,
-    OracleConfig,
-    OracleMode,
-    Threshold,
-    calibrate_threshold,
-    score,
-)
+from .attacks import ATTACKS, make_attack
+from .errors import ATTACK_FAILURES
+from .matcher import Metric, Threshold, score
 from .rng import make_rng
 from .synth import (
     IdentityModel,
+    build_scenario,
+    calibrate_for_model,
     enrollment_template,
-    gen_breaking_set,
     gen_identity_model,
-    impostor_scores,
     sample_template,
 )
 from .validation import as_vector, check_count, check_nonnegative, check_probability
@@ -133,8 +123,8 @@ class ExperimentConfig:
         for a in attacks:
             if "name" not in a:
                 raise ValueError(f"attack entry without a name: {a!r}")
-            if a["name"] not in ATTACK_MODES:
-                known = ", ".join(sorted(ATTACK_MODES))
+            if a["name"] not in ATTACKS:
+                known = ", ".join(sorted(ATTACKS))
                 raise ValueError(f"unknown attack {a['name']!r}; known attacks: {known}")
         object.__setattr__(self, "attacks", attacks)
 
@@ -207,18 +197,7 @@ class AggregateStats:
     mean_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "attack": self.attack,
-            "fmr": self.fmr,
-            "rows": self.rows,
-            "failures": self.failures,
-            "mean_loss": self.mean_loss,
-            "median_loss": self.median_loss,
-            "std_loss": self.std_loss,
-            "success_rate": self.success_rate,
-            "mean_queries": self.mean_queries,
-            "mean_time_s": self.mean_time_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -272,25 +251,11 @@ def _convergence_points(breaking_set, accepted_indices, truth, metric) -> tuple:
     return tuple(points)
 
 
-def calibrate_for_model(
-    model: IdentityModel,
-    metric: Metric,
-    target_fmr: float,
-    *,
-    pairs: int,
-    unit_norm: bool = True,
-    seed,
-) -> CalibrationResult:
-    """Calibrate a threshold on fresh impostor pairs drawn from the model."""
-    scores = impostor_scores(model, metric, pairs, unit_norm=unit_norm, seed=seed)
-    return calibrate_threshold(scores, target_fmr, metric)
-
-
 def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
-    """Run the full grid and return the report.
+    """Run the full grid, one row after another, and return the report.
 
-    ``jobs`` parallelizes across rows with threads; results are identical to
-    a sequential run because each row seeds its own streams.
+    ``jobs`` must be at least 1 and is otherwise ignored; it is accepted so
+    that callers passing a worker count keep working.
     """
     check_count(jobs, "jobs", minimum=1)
     model = gen_identity_model(
@@ -300,93 +265,74 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> ExperimentRepo
         center_concentration=config.center_concentration,
         seed=config.model_seed,
     )
-    calibrations = {}
+    rows, curves = [], []
     for fi, fmr in enumerate(config.fmr_targets):
-        calibrations[fmr] = calibrate_for_model(
+        threshold = calibrate_for_model(
             model,
             config.metric,
             fmr,
             pairs=config.calibration_pairs,
             unit_norm=config.unit_norm,
             seed=make_rng(config.seed, "calibration", fi),
-        )
+        ).threshold
+        for ti in range(config.num_targets):
+            for ai, attack_params in enumerate(config.attacks):
+                row, curve = _run_row(config, model, threshold, fi, ti, ai, attack_params)
+                rows.append(row)
+                if curve is not None:
+                    curves.append(curve)
+    rows = tuple(rows)
+    return ExperimentReport(
+        config=config, rows=rows, aggregates=compute_aggregates(rows), baseline_curves=tuple(curves)
+    )
 
-    tasks = [
-        (fi, fmr, ti, ai, dict(attack_params))
-        for fi, fmr in enumerate(config.fmr_targets)
-        for ti in range(config.num_targets)
-        for ai, attack_params in enumerate(config.attacks)
-    ]
 
-    def run_row(task):
-        fi, fmr, ti, ai, attack_params = task
-        name = attack_params.pop("name")
-        threshold = calibrations[fmr].threshold
-        mode = ATTACK_MODES[name]
-        truth = enrollment_template(model, ti, unit_norm=config.unit_norm)
-        oracle = MatchingOracle(
-            OracleConfig(
-                metric=config.metric,
-                mode=mode,
-                threshold=threshold,
-                noise_sigma=config.oracle_noise_sigma,
-                query_limit=config.query_limit,
-            ),
-            noise_seed=make_rng(config.seed, "noise", fi, ti, ai),
+def _run_row(config, model, threshold, fi, ti, ai, attack_params):
+    params = dict(attack_params)
+    name = params.pop("name")
+    fmr = config.fmr_targets[fi]
+    oracle, breaking_set = build_scenario(
+        model, config.metric, ATTACKS[name].mode, [ti],
+        threshold=threshold.value,
+        noise_sigma=config.oracle_noise_sigma,
+        noise_seed=make_rng(config.seed, "noise", fi, ti, ai),
+        query_limit=config.query_limit,
+        unit_norm=config.unit_norm,
+        breaking_set_size=config.breaking_set_size,
+        breaking_set_seed=make_rng(config.seed, "breaking-set", fi, ti, ai),
+    )
+    truth = enrollment_template(model, ti, unit_norm=config.unit_norm)
+    attack = make_attack(name, dim=config.dim, threshold=threshold.value, **params)
+    started = time.perf_counter()
+    try:
+        result = attack.reconstruct(
+            oracle, str(ti),
+            seed=make_rng(config.seed, "attack", fi, ti, ai),
+            breaking_set=breaking_set,
         )
-        oracle.enroll(str(ti), truth.values)
-        breaking_set = None
-        if mode is OracleMode.BINARY:
-            breaking_set = gen_breaking_set(
-                model, ti, config.breaking_set_size,
-                unit_norm=config.unit_norm,
-                seed=make_rng(config.seed, "breaking-set", fi, ti, ai),
-            )
-        if name == "binary-ours" and "threshold_estimate" not in attack_params:
-            attack_params["threshold_estimate"] = threshold.value
-        attack = make_attack(name, dim=config.dim, **attack_params)
-        started = time.perf_counter()
-        try:
-            result = attack.reconstruct(
-                oracle, str(ti),
-                seed=make_rng(config.seed, "attack", fi, ti, ai),
-                breaking_set=breaking_set,
-            )
-        except (AttackFailedError, SingularSystemError, LockedOutError) as exc:
-            row = ExperimentRow(
-                identity=str(ti), attack=name, metric=config.metric, fmr=fmr,
-                loss=None, queries=oracle.queries,
-                time_s=time.perf_counter() - started, passed=False, error=str(exc),
-            )
-            return row, None
-        loss = reconstruction_loss(result.recovered.values, truth.values, config.metric)
+    except ATTACK_FAILURES as exc:
         row = ExperimentRow(
             identity=str(ti), attack=name, metric=config.metric, fmr=fmr,
-            loss=loss, queries=result.queries_used,
-            time_s=result.wall_time_seconds,
-            passed=passes_system(result.recovered.values, truth.values, threshold),
+            loss=None, queries=oracle.queries,
+            time_s=time.perf_counter() - started, passed=False, error=str(exc),
         )
-        curve = None
-        if name == "binary-baseline":
-            curve = ConvergenceCurve(
-                identity=str(ti), fmr=fmr,
-                points=_convergence_points(
-                    breaking_set, result.params["accepted_indices"], truth.values, config.metric
-                ),
-            )
-        return row, curve
-
-    if jobs == 1:
-        outcomes = [run_row(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_row, tasks))
-
-    rows = tuple(row for row, _ in outcomes)
-    curves = tuple(curve for _, curve in outcomes if curve is not None)
-    return ExperimentReport(
-        config=config, rows=rows, aggregates=compute_aggregates(rows), baseline_curves=curves
+        return row, None
+    loss = reconstruction_loss(result.recovered.values, truth.values, config.metric)
+    row = ExperimentRow(
+        identity=str(ti), attack=name, metric=config.metric, fmr=fmr,
+        loss=loss, queries=result.queries_used,
+        time_s=result.wall_time_seconds,
+        passed=passes_system(result.recovered.values, truth.values, threshold),
     )
+    curve = None
+    if name == "binary-baseline":
+        curve = ConvergenceCurve(
+            identity=str(ti), fmr=fmr,
+            points=_convergence_points(
+                breaking_set, result.params["accepted_indices"], truth.values, config.metric
+            ),
+        )
+    return row, curve
 
 
 def _csv_cell(value) -> str:

@@ -1,10 +1,10 @@
 """Dense linear solving for the geometric reconstruction attacks.
 
-Gaussian elimination with scaled partial pivoting, written out rather than
-delegated, because the attacks need a hard failure signal: when the chosen
-probe geometry yields a system whose best pivot is negligible relative to its
-row scale, the solver raises :class:`SingularSystemError` so the caller can
-resample its probes instead of accepting an unreliable solution.
+LAPACK (``np.linalg.solve``) does the solving behind a conditioning guard,
+because the attacks need a hard failure signal: when the chosen probe
+geometry yields a system whose row-scaled 2-norm condition number exceeds
+:data:`MAX_CONDITION`, the solver raises :class:`SingularSystemError` so the
+caller can resample its probes instead of accepting an unreliable solution.
 """
 
 from __future__ import annotations
@@ -14,48 +14,38 @@ import numpy as np
 from .errors import SingularSystemError
 from .validation import as_vector
 
-PIVOT_RTOL = 1e-12
+# Sphere systems from binary-ours boundary points have a row-scaled condition
+# number of about 4e3 (d=128) to 3e4 (d=512) in the median and stay below
+# 2e6 in practice; a draw above 1e7 has been seen to lose the template.
+MAX_CONDITION = 1e7
 
 
-def solve_linear_system(a, b, *, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def solve_linear_system(a, b) -> np.ndarray:
     """Solve ``a @ x == b`` for square ``a``.
 
-    Raises :class:`SingularSystemError` when any pivot, after scaled partial
-    pivoting, falls at or below ``pivot_rtol`` times its row's scale.
+    Raises :class:`SingularSystemError` when ``a`` has a zero row, or when
+    the condition number of ``a`` with each row divided by its largest
+    magnitude is above :data:`MAX_CONDITION` (or not finite).
     """
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"coefficient matrix must be square and nonempty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficient matrix contains non-finite values")
-    n = a.shape[0]
-    b = as_vector(b, name="right-hand side", dim=n).copy()
+    b = as_vector(b, name="right-hand side", dim=a.shape[0])
 
     scale = np.max(np.abs(a), axis=1)
     if np.any(scale == 0.0):
         raise SingularSystemError("singular system: zero row in coefficient matrix")
-
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k]) / scale[k:]))
-        if abs(a[p, k]) <= pivot_rtol * scale[p]:
-            raise SingularSystemError(f"singular system: no usable pivot in column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-            scale[[k, p]] = scale[[p, k]]
-        m = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(m, a[k, k + 1:])
-        b[k + 1:] -= m * b[k]
-    if abs(a[n - 1, n - 1]) <= pivot_rtol * scale[n - 1]:
-        raise SingularSystemError(f"singular system: no usable pivot in column {n - 1}")
-
-    x = np.empty(n, dtype=np.float64)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
+    kappa = float(np.linalg.cond(a / scale[:, None]))
+    if not kappa <= MAX_CONDITION:
+        raise SingularSystemError(
+            f"singular system: condition number {kappa:.3g} exceeds {MAX_CONDITION:.3g}"
+        )
+    return np.linalg.solve(a, b)
 
 
-def sphere_center(points, sq_distances=None, *, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def sphere_center(points, sq_distances=None) -> np.ndarray:
     """Recover the center of a sphere from ``d + 1`` points on its surface.
 
     Each point ``q_i`` satisfies ``||q_i - c||^2 == s_i``. Subtracting the last
@@ -82,4 +72,4 @@ def sphere_center(points, sq_distances=None, *, pivot_rtol: float = PIVOT_RTOL) 
         s = as_vector(sq_distances, name="sq_distances", dim=n)
         rhs = rhs + (s[:-1] - s[-1])
     coeffs = 2.0 * (pts[-1] - pts[:-1])
-    return solve_linear_system(coeffs, rhs, pivot_rtol=pivot_rtol)
+    return solve_linear_system(coeffs, rhs)

@@ -230,7 +230,8 @@ class MatchingOracle:
     Authentication calls are serialized with a lock, so one instance can be
     shared across threads; the ledger then reflects the interleaved total.
     Queries that fail validation (unknown identity, wrong dimension) are not
-    served and therefore not counted.
+    served and therefore not counted. With a ``query_limit``, each identity
+    is locked out once it has been queried that many times.
     """
 
     def __init__(self, config: OracleConfig, *, noise_seed: SeedLike = 0):
@@ -305,8 +306,8 @@ class MatchingOracle:
             if identity not in self._enrolled:
                 raise UnknownIdentityError(f"unknown identity {identity!r}")
             limit = self._config.query_limit
-            if limit is not None and self._ledger.total >= limit:
-                raise LockedOutError(f"locked out: query limit of {limit} reached")
+            if limit is not None and self._ledger.per_identity.get(identity, 0) >= limit:
+                raise LockedOutError(f"locked out: query limit of {limit} reached for {identity!r}")
             enrolled = self._enrolled[identity]
             probe_arr = as_vector(probe, name="probe", dim=enrolled.size)
             value = score(self._config.metric, enrolled, probe_arr)

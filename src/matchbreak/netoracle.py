@@ -11,7 +11,9 @@ with ``repr``. Requests carry an ``op``:
 
 Errors come back as ``{"error": CODE, "message": ...}`` with codes
 ``BAD_REQUEST``, ``BAD_DIM``, ``UNKNOWN_IDENTITY``, ``LOCKED`` and
-``ENROLL_DISABLED``; the connection stays open after an error. Whether
+``ENROLL_DISABLED``; the connection stays open after an error, except after
+a request line longer than :data:`MAX_REQUEST_BYTES`, which the server
+answers with ``BAD_REQUEST`` and then closes the connection. Whether
 ``auth`` answers with a score or a decision is the server's choice: the
 enrolled templates and the raw scores of a decision-only oracle never cross
 the wire.
@@ -34,11 +36,15 @@ from .errors import (
     UnknownIdentityError,
     WireProtocolError,
 )
-from .evaluation import calibrate_for_model
-from .matcher import MatchingOracle, Metric, OracleConfig, OracleMode, Threshold
+from .matcher import MatchingOracle, Metric, OracleMode
 from .rng import make_rng
-from .synth import enrollment_template, load_model
+from .synth import build_scenario, load_model
 from .validation import as_vector
+
+# Longest request line the server reads, newline included. A d=512 ``auth``
+# line is about 12 KB; the cap keeps one client from making the server
+# buffer an unbounded line.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,11 @@ def _error(code: str, message: str) -> WireMessage:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        for line in self.rfile:
+        while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+            if len(line) > MAX_REQUEST_BYTES:
+                message = f"request line longer than {MAX_REQUEST_BYTES} bytes"
+                self.wfile.write(_error("BAD_REQUEST", message).to_line())
+                return
             if not line.strip():
                 continue
             response = self.server.owner._dispatch(line)
@@ -183,37 +193,21 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
         raise ValueError("server config needs a 'model' directory")
     base = Path(base_dir) if base_dir is not None else Path(".")
     model = load_model(base / doc["model"])
-    metric = Metric(doc.get("metric", "sed"))
-    mode = OracleMode(doc.get("mode", "binary"))
-    unit_norm = bool(doc.get("unit_norm", True))
-
-    threshold = None
-    if doc.get("threshold") is not None:
-        threshold = Threshold(float(doc["threshold"]), metric)
-    elif doc.get("fmr") is not None:
-        result = calibrate_for_model(
-            model, metric, float(doc["fmr"]),
-            pairs=int(doc.get("calibration_pairs", 100000)),
-            unit_norm=unit_norm,
-            seed=make_rng(int(doc.get("calibration_seed", 0)), "serve-calibration"),
-        )
-        threshold = result.threshold
-    elif mode is OracleMode.BINARY:
-        raise ValueError("binary mode needs 'threshold' or 'fmr' in the server config")
-
-    oracle = MatchingOracle(
-        OracleConfig(
-            metric=metric, mode=mode, threshold=threshold,
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            query_limit=doc.get("query_limit"),
-        ),
-        noise_seed=int(doc.get("noise_seed", 0)),
-    )
     identities = doc.get("identities")
-    if identities is None:
-        identities = range(model.num_identities)
-    for i in identities:
-        oracle.enroll(str(i), enrollment_template(model, i, unit_norm=unit_norm).values)
+    oracle, _ = build_scenario(
+        model,
+        Metric(doc.get("metric", "sed")),
+        OracleMode(doc.get("mode", "binary")),
+        range(model.num_identities) if identities is None else identities,
+        threshold=doc.get("threshold"),
+        fmr=doc.get("fmr"),
+        calibration_pairs=int(doc.get("calibration_pairs", 100000)),
+        calibration_seed=make_rng(int(doc.get("calibration_seed", 0)), "serve-calibration"),
+        noise_sigma=float(doc.get("noise_sigma", 0.0)),
+        noise_seed=int(doc.get("noise_seed", 0)),
+        query_limit=doc.get("query_limit"),
+        unit_norm=bool(doc.get("unit_norm", True)),
+    )
     bind = (doc.get("host", "127.0.0.1"), int(doc.get("port", 0)))
     return OracleServer(oracle, bind, open_enrollment=bool(doc.get("open_enrollment", False)))
 

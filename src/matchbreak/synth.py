@@ -15,7 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .matcher import Metric
+from .matcher import (
+    CalibrationResult,
+    MatchingOracle,
+    Metric,
+    OracleConfig,
+    OracleMode,
+    Threshold,
+    calibrate_threshold,
+)
 from .rng import SeedLike, as_generator, make_rng, random_unit_vector
 from .templates import Template
 from .validation import check_count, check_nonnegative
@@ -267,6 +275,73 @@ def genuine_scores(
 ) -> np.ndarray:
     """Scores of two independent fresh samples of one identity."""
     return _pair_scores(model, metric, n_pairs, impostor=False, unit_norm=unit_norm, seed=seed)
+
+
+def calibrate_for_model(
+    model: IdentityModel,
+    metric: Metric,
+    target_fmr: float,
+    *,
+    pairs: int,
+    unit_norm: bool = True,
+    seed,
+) -> CalibrationResult:
+    """Calibrate a threshold on fresh impostor pairs drawn from the model."""
+    scores = impostor_scores(model, metric, pairs, unit_norm=unit_norm, seed=seed)
+    return calibrate_threshold(scores, target_fmr, metric)
+
+
+def build_scenario(
+    model: IdentityModel,
+    metric: Metric,
+    mode: OracleMode,
+    identities,
+    *,
+    threshold: float | None = None,
+    fmr: float | None = None,
+    calibration_pairs: int = 100000,
+    calibration_seed: SeedLike = 0,
+    noise_sigma: float = 0.0,
+    noise_seed: SeedLike = 0,
+    query_limit: int | None = None,
+    unit_norm: bool = True,
+    breaking_set_size: int | None = None,
+    breaking_set_seed: SeedLike = 0,
+) -> tuple[MatchingOracle, BreakingSet | None]:
+    """Stand up a matching oracle over ``model`` with ``identities`` enrolled,
+    and return it with a breaking set, or ``None`` in its place.
+
+    The oracle's threshold is ``threshold`` when given, else one calibrated
+    to ``fmr`` on ``calibration_pairs`` fresh impostor pairs; a score-mode
+    oracle may have neither. When ``breaking_set_size`` is given and the
+    oracle is decision-only, a breaking set of that size is drawn for an
+    attack on the single enrolled identity.
+    """
+    if threshold is None and fmr is not None:
+        threshold = calibrate_for_model(
+            model, metric, fmr, pairs=calibration_pairs, unit_norm=unit_norm, seed=calibration_seed
+        ).threshold.value
+    oracle = MatchingOracle(
+        OracleConfig(
+            metric=metric,
+            mode=mode,
+            threshold=None if threshold is None else Threshold(threshold, metric),
+            noise_sigma=noise_sigma,
+            query_limit=query_limit,
+        ),
+        noise_seed=noise_seed,
+    )
+    identities = [_identity_index(model, i) for i in identities]
+    for i in identities:
+        oracle.enroll(str(i), enrollment_template(model, i, unit_norm=unit_norm).values)
+    breaking_set = None
+    if breaking_set_size is not None and oracle.mode is OracleMode.BINARY:
+        if len(identities) != 1:
+            raise ValueError("a breaking set is drawn for exactly one enrolled identity")
+        breaking_set = gen_breaking_set(
+            model, identities[0], breaking_set_size, unit_norm=unit_norm, seed=breaking_set_seed
+        )
+    return oracle, breaking_set
 
 
 def save_model(model: IdentityModel, directory) -> None:

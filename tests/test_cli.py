@@ -101,6 +101,18 @@ class TestAttack:
         assert doc["queries"] == 1
         assert not (out / "recovered.tpl").exists()
 
+    def test_lockout_writes_error_json_and_exits_1(self, model_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run_cli("attack", "--name", "binary-ours", "--model", model_dir,
+                       "--target", 0, "--out", out, "--fmr", 0.05, "--pairs", 20000,
+                       "--query-limit", 50)
+        assert code == 1
+        assert "attack failed" in capsys.readouterr().err
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["error_type"] == "LockedOutError"
+        assert doc["queries"] == 50
+        assert not (out / "recovered.tpl").exists()
+
     def test_unknown_attack_name_is_usage_error(self, model_dir, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli("attack", "--name", "quantum", "--model", model_dir,

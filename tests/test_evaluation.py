@@ -156,6 +156,24 @@ class TestRunExperiment:
             assert row.loss is not None
             assert row.loss < 1e-2
 
+    def test_ill_conditioned_boundary_draw_is_resampled(self):
+        # On this seed the boundary points of target 1's binary-ours row give
+        # a sphere system with condition number 1.4e7; solved as drawn it
+        # lost the template (loss 0.93 in 2678 queries). The solver's guard
+        # resamples one point instead, at P = 20 more queries.
+        seed = 1060813625
+        config = ExperimentConfig(
+            dim=128, num_identities=300, within_noise_sigma=0.1, fmr_targets=(0.01,),
+            num_targets=2, calibration_pairs=100000, model_seed=seed, seed=seed,
+            attacks=({"name": "score-sed"}, {"name": "hill", "budget": 4000},
+                     {"name": "binary-baseline"}, {"name": "binary-ours"}),
+        )
+        row = run_experiment(config).rows[-1]
+        assert (row.identity, row.attack) == ("1", "binary-ours")
+        assert row.loss < 1e-3
+        assert row.passed
+        assert row.queries == 2678 + 20
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown attack"):
             tiny_config(attacks=({"name": "bogus"},))

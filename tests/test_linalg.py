@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from matchbreak.errors import SingularSystemError
-from matchbreak.linalg import solve_linear_system, sphere_center
+from matchbreak.linalg import MAX_CONDITION, solve_linear_system, sphere_center
 
 
 def test_identity_system():
@@ -135,6 +135,18 @@ class TestSphereCenter:
         large = sphere_center(center + 50.0 * dirs)
         assert np.allclose(small, center, atol=1e-9)
         assert np.allclose(large, center, atol=1e-6)
+
+    def test_ill_conditioned_system_rejected(self):
+        # two of the four points on the sphere nearly coincide; the system is
+        # solvable but its row-scaled condition number is above the guard
+        center = np.array([0.3, -0.2, 0.5])
+        eps = 1e-7
+        dirs = np.array([[1.0, 0.0, 0.0], [np.cos(eps), np.sin(eps), 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        pts = center + 2.0 * dirs
+        a = 2.0 * (pts[-1] - pts[:-1])
+        assert np.linalg.cond(a / np.max(np.abs(a), axis=1)[:, None]) > MAX_CONDITION
+        with pytest.raises(SingularSystemError, match="condition number"):
+            sphere_center(pts)
 
     def test_coincident_points_rejected(self):
         pts = np.ones((4, 3))

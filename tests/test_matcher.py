@@ -277,6 +277,17 @@ class TestOracle:
             oracle.authenticate_score("a", [1.0, 0.0])
         assert oracle.queries == 3  # the refused query is not served
 
+    def test_query_limit_is_per_identity(self):
+        oracle = make_oracle(query_limit=2)
+        oracle.enroll("a", [1.0, 0.0])
+        oracle.enroll("b", [0.0, 1.0])
+        for _ in range(2):
+            oracle.authenticate_score("a", [1.0, 0.0])
+        assert oracle.authenticate_score("b", [0.0, 1.0]) == 0.0
+        with pytest.raises(LockedOutError, match="locked out"):
+            oracle.authenticate_score("a", [1.0, 0.0])
+        assert oracle.ledger_snapshot() == (3, {"a": 2, "b": 1})
+
     def test_reset_ledger_unlocks(self):
         oracle = make_oracle(query_limit=1)
         oracle.enroll("a", [1.0, 0.0])

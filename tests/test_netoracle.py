@@ -20,6 +20,7 @@ from matchbreak.matcher import (
     Threshold,
 )
 from matchbreak.netoracle import (
+    MAX_REQUEST_BYTES,
     OracleServer,
     RemoteOracle,
     WireMessage,
@@ -141,6 +142,22 @@ class TestErrorCodes:
             f.write(WireMessage({"op": "stats"}).to_line())
             f.flush()
             assert json.loads(f.readline()) == {"queries": 0}
+
+    def test_oversized_line_refused_and_connection_closed(self, score_server):
+        line = b'{"op":"stats","pad":"' + b"x" * MAX_REQUEST_BYTES + b'"}\n'
+        with socket.create_connection(score_server.address, timeout=10.0) as sock:
+            sock.sendall(line)
+            f = sock.makefile("rb")
+            doc = json.loads(f.readline())
+            assert doc["error"] == "BAD_REQUEST"
+            assert str(MAX_REQUEST_BYTES) in doc["message"]
+            try:
+                assert f.readline() == b""
+            except ConnectionResetError:
+                pass  # the unread tail of the line may reset the closed connection
+        with remote_oracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            probe = enrollment_template(make_model(), 0).values
+            assert remote.authenticate_score("0", probe) == 0.0
 
     def test_unknown_op(self, score_server):
         with socket.create_connection(score_server.address) as sock:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from matchbreak.matcher import Metric, calibrate_threshold
+from matchbreak.matcher import Metric, OracleMode, calibrate_threshold
 from matchbreak.rng import make_rng
 from matchbreak.synth import (
     IdentityModel,
+    build_scenario,
+    calibrate_for_model,
     enrollment_template,
     gen_breaking_set,
     gen_identity_model,
@@ -221,3 +223,30 @@ def test_identity_model_validates_shape():
             dim=4, num_identities=3, centers=np.ones((2, 4)) / 2.0,
             within_noise_sigma=0.1, center_concentration=0.0, seed=0,
         )
+
+
+class TestBuildScenario:
+    def test_calibrates_enrolls_and_draws_breaking_set(self, model):
+        oracle, breaking_set = build_scenario(
+            model, Metric.SED, OracleMode.BINARY, [3],
+            fmr=0.05, calibration_pairs=5000, calibration_seed=make_rng(1, "cal"),
+            breaking_set_size=50, breaking_set_seed=make_rng(1, "bs"),
+        )
+        expected = calibrate_for_model(model, Metric.SED, 0.05, pairs=5000, seed=make_rng(1, "cal"))
+        assert oracle.threshold == expected.threshold
+        assert oracle.enrolled_identities == ("3",)
+        assert oracle.authenticate_binary("3", enrollment_template(model, 3).values)
+        assert len(breaking_set) == 50 and breaking_set.excluded == 3
+        assert oracle.queries == 1
+
+    def test_score_oracle_gets_no_breaking_set(self, model):
+        oracle, breaking_set = build_scenario(
+            model, Metric.COSINE, OracleMode.SCORE, range(4), breaking_set_size=50
+        )
+        assert oracle.threshold is None
+        assert sorted(oracle.enrolled_identities) == ["0", "1", "2", "3"]
+        assert breaking_set is None
+
+    def test_breaking_set_needs_one_target(self, model):
+        with pytest.raises(ValueError, match="exactly one"):
+            build_scenario(model, Metric.SED, OracleMode.BINARY, [0, 1], threshold=0.5, breaking_set_size=10)
