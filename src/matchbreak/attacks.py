@@ -1,8 +1,11 @@
 """Template-reconstruction attacks against matching oracles.
 
 All attacks are black box: they interact with the oracle only through its
-``authenticate_*`` calls, and their query cost is read back from the oracle's
-ledger. Four families are implemented:
+``authenticate_*`` calls. Their query cost is counted on the client, as the
+number of probes the oracle answered during the run, so it needs no ledger
+round trip and does not include other clients' queries. Probes that do not
+depend on each other's answers go out in one ``authenticate_*_many`` batch.
+Four families are implemented:
 
 * ``score-sed``: solve the distance equations released by a squared-Euclidean
   score oracle; ``d + 1`` probes pin the enrolled template exactly.
@@ -68,15 +71,15 @@ class Attack:
     ) -> ReconstructionResult:
         _require(oracle, self.mode, self.metric, self.name)
         rng = as_generator(seed)
-        queries_before = oracle.queries
+        counted = _CountingOracle(oracle)
         started = time.perf_counter()
-        values, unit, extras = self._run(oracle, claim, rng, breaking_set)
+        values, unit, extras = self._run(counted, claim, rng, breaking_set)
         elapsed = time.perf_counter() - started
         params = dataclasses.asdict(self)
         params.update(extras)
         return ReconstructionResult(
             recovered=Template(values, unit=unit),
-            queries_used=oracle.queries - queries_before,
+            queries_used=counted.answered,
             wall_time_seconds=elapsed,
             attack_name=self.name,
             params=params,
@@ -84,6 +87,37 @@ class Attack:
 
     def _run(self, oracle, claim, rng, breaking_set):
         raise NotImplementedError
+
+
+class _CountingOracle:
+    """An oracle as one attack run sees it: every call goes to the real
+    oracle, and the probes it answers are counted here."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.mode = oracle.mode
+        self.metric = oracle.metric
+        self.answered = 0
+
+    def authenticate_score(self, claim, probe):
+        value = self._oracle.authenticate_score(claim, probe)
+        self.answered += 1
+        return value
+
+    def authenticate_binary(self, claim, probe):
+        value = self._oracle.authenticate_binary(claim, probe)
+        self.answered += 1
+        return value
+
+    def authenticate_score_many(self, claim, probes):
+        values = self._oracle.authenticate_score_many(claim, probes)
+        self.answered += len(values)
+        return values
+
+    def authenticate_binary_many(self, claim, probes):
+        values = self._oracle.authenticate_binary_many(claim, probes)
+        self.answered += len(values)
+        return values
 
 
 def _require(oracle, mode: OracleMode, metric: Metric | None, attack_name: str) -> None:
@@ -159,7 +193,7 @@ def _solve_scores(attack, oracle, claim, draw_probes, solve):
     last_error = None
     for attempt in range(attack.resample_attempts + 1):
         probes = draw_probes()
-        scores = np.array([oracle.authenticate_score(claim, q) for q in probes])
+        scores = oracle.authenticate_score_many(claim, probes)
         try:
             return solve(probes, scores), {"probe_resamples": attempt}
         except SingularSystemError as exc:
@@ -240,14 +274,11 @@ class AcceptAverageAttack(Attack):
         if breaking_set is None:
             raise ValueError(f"{self.name} requires a breaking set")
         members = breaking_set.members if self.budget is None else breaking_set.members[: self.budget]
-        accepted_indices = [
-            i for i, (_, member) in enumerate(members)
-            if oracle.authenticate_binary(claim, member.values)
-        ]
-        if not accepted_indices:
+        stacked = np.stack([member.values for _, member in members])
+        accepted = np.flatnonzero(oracle.authenticate_binary_many(claim, stacked))
+        if not accepted.size:
             raise NoFalseMatchError("no false match found in the breaking set", attempts=len(members))
-        stacked = np.stack([members[i][1].values for i in accepted_indices])
-        return stacked.mean(axis=0), False, {"accepted_indices": accepted_indices}
+        return stacked[accepted].mean(axis=0), False, {"accepted_indices": accepted.tolist()}
 
 
 def find_seed_match(
@@ -294,29 +325,62 @@ def boundary_point(
     the direction is redrawn without spending extra queries on an explicit
     outside check; after ``max_direction_redraws`` failures the radius
     estimate is doubled once before giving up. Each round costs exactly
-    ``precision`` queries.
+    ``precision`` queries. This is :func:`boundary_points` for one ray.
     """
-    _require(oracle, OracleMode.BINARY, None, "boundary_point")
+    points, _ = boundary_points(
+        oracle, claim, start, radius_estimate, precision, rng, 1,
+        max_direction_redraws=max_direction_redraws,
+    )
+    return points[0]
+
+
+def boundary_points(
+    oracle,
+    claim: str,
+    start,
+    radius_estimate: float,
+    precision: int,
+    rng: np.random.Generator,
+    count: int,
+    *,
+    max_direction_redraws: int = 8,
+) -> tuple[np.ndarray, int]:
+    """Bisect ``count`` rays from ``start`` to the boundary in lockstep.
+
+    Each round of :func:`boundary_point` runs for all rays at once: one
+    batch of ``count`` probes per halving, directions drawn in row order.
+    Rays that never left the region are redrawn together in the next pass,
+    and the radius estimate doubles after ``max_direction_redraws`` of
+    those. Returns the ``(count, d)`` points and the number of rounds
+    bisected, each of which cost ``precision`` queries.
+    """
+    _require(oracle, OracleMode.BINARY, None, "boundary_points")
     center = as_vector(start, name="start")
     radius_estimate = check_positive(radius_estimate, "radius_estimate")
     precision = check_count(precision, "precision", minimum=1)
+    count = check_count(count, "count", minimum=1)
     check_count(max_direction_redraws, "max_direction_redraws", minimum=0)
 
+    points = np.empty((count, center.size), dtype=np.float64)
+    pending = np.arange(count)
+    rounds = 0
     for radius in (radius_estimate, 2.0 * radius_estimate):
         for _ in range(max_direction_redraws + 1):
-            direction = random_unit_vector(rng, center.size)
-            inside = center
-            outside = center + (2.0 * radius) * direction
-            left_region = False
+            directions = np.stack([random_unit_vector(rng, center.size) for _ in pending])
+            inside = np.tile(center, (len(pending), 1))
+            outside = center + (2.0 * radius) * directions
+            left_region = np.zeros(len(pending), dtype=bool)
             for _ in range(precision):
                 midpoint = 0.5 * (inside + outside)
-                if oracle.authenticate_binary(claim, midpoint):
-                    inside = midpoint
-                else:
-                    outside = midpoint
-                    left_region = True
-            if left_region:
-                return 0.5 * (inside + outside)
+                accepted = oracle.authenticate_binary_many(claim, midpoint)
+                np.copyto(inside, midpoint, where=accepted[:, None])
+                np.copyto(outside, midpoint, where=~accepted[:, None])
+                left_region |= ~accepted
+            rounds += len(pending)
+            points[pending[left_region]] = 0.5 * (inside + outside)[left_region]
+            pending = pending[~left_region]
+            if not pending.size:
+                return points, rounds
     raise OutsidePointError(
         "no probe direction left the acceptance region; the radius estimate is too small"
     )
@@ -327,13 +391,13 @@ class BoundarySearchAttack(Attack):
     """Reconstruct a template from a decision-only squared-distance oracle.
 
     One accepted seed is found by scanning the breaking set, then ``dim + 1``
-    boundary points are located by bisection; they all sit at the threshold
-    distance from the enrolled template, which is recovered as their common
-    sphere center. ``threshold_estimate`` is in score units (squared
-    distance); its square root is the geometric radius used for bracketing.
-    When the solver refuses the points' system as ill-conditioned, one
-    point is redrawn (``precision`` more queries), up to
-    ``resample_attempts`` times.
+    boundary points are located by bisection, all rays in lockstep; they all
+    sit at the threshold distance from the enrolled template, which is
+    recovered as their common sphere center. ``threshold_estimate`` is in
+    score units (squared distance); its square root is the geometric radius
+    used for bracketing. When the solver refuses the points' system as
+    ill-conditioned, one point is redrawn (``precision`` more queries), up
+    to ``resample_attempts`` times.
     """
 
     dim: int
@@ -362,25 +426,19 @@ class BoundarySearchAttack(Attack):
         seed_member, seed_attempts = find_seed_match(
             oracle, claim, breaking_set, max_attempts=self.max_seed_attempts
         )
-        start = seed_member.values
-        radius = float(np.sqrt(self.threshold_estimate))
         d = self.dim
         redraw_rounds = 0
 
-        def next_point() -> np.ndarray:
+        def next_points(count: int) -> np.ndarray:
             nonlocal redraw_rounds
-            before = oracle.queries
-            point = boundary_point(
-                oracle, claim, start, radius, self.precision, rng,
-                max_direction_redraws=self.max_direction_redraws,
+            points, rounds = boundary_points(
+                oracle, claim, seed_member.values, float(np.sqrt(self.threshold_estimate)),
+                self.precision, rng, count, max_direction_redraws=self.max_direction_redraws,
             )
-            redraw_rounds += (oracle.queries - before) // self.precision - 1
-            return point
+            redraw_rounds += rounds - count
+            return points
 
-        points = np.empty((d + 1, d), dtype=np.float64)
-        for i in range(d + 1):
-            points[i] = next_point()
-
+        points = next_points(d + 1)
         solve_resamples = 0
         while True:
             try:
@@ -389,7 +447,7 @@ class BoundarySearchAttack(Attack):
             except SingularSystemError:
                 if solve_resamples >= self.resample_attempts:
                     raise
-                points[solve_resamples % (d + 1)] = next_point()
+                points[solve_resamples % (d + 1)] = next_points(1)[0]
                 solve_resamples += 1
         extras = {
             "seed_attempts": seed_attempts,

@@ -126,6 +126,8 @@ class ExperimentConfig:
             if a["name"] not in ATTACKS:
                 known = ", ".join(sorted(ATTACKS))
                 raise ValueError(f"unknown attack {a['name']!r}; known attacks: {known}")
+            if "dim" in a:
+                raise ValueError(f"attack entry {a!r} sets 'dim'; the dimension comes from the config's dim")
         object.__setattr__(self, "attacks", attacks)
 
     def to_dict(self) -> dict:

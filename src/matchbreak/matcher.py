@@ -23,7 +23,7 @@ from .errors import (
     UnknownIdentityError,
 )
 from .rng import SeedLike, as_generator
-from .validation import as_vector, check_nonnegative, check_probability, check_same_dim
+from .validation import as_matrix, as_vector, check_nonnegative, check_probability, check_same_dim
 
 
 class Metric(str, Enum):
@@ -39,27 +39,37 @@ class OracleMode(str, Enum):
 # Scores use np.sum reductions, not BLAS dot: dot kernels pick different
 # instruction paths for strided views, shifting the last ulp, and a score must
 # be a function of the values alone so that recomputing it from a wire copy of
-# the same numbers gives the identical float.
+# the same numbers gives the identical float. A reduction along the rows of a
+# C-contiguous batch runs the same pairwise sum as on each row alone, so a row
+# scores the same bits whether it is sent alone or in a batch.
+
+
+def _score_rows(metric: Metric, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Score each row of the ``(n, d)`` array ``rows`` against ``a``."""
+    if metric is Metric.SED:
+        return np.sum((a - rows) ** 2, axis=1)
+    na = math.sqrt(np.sum(a * a))
+    nr = np.sqrt(np.sum(rows * rows, axis=1))
+    if na == 0.0 or np.any(nr == 0.0):
+        raise DegenerateTemplateError("degenerate template: the zero vector has no direction")
+    return np.sum(a * rows, axis=1) / (na * nr)
+
+
+def _score_pair(metric: Metric, a, b) -> float:
+    av = as_vector(a, name="a")
+    bv = as_vector(b, name="b")
+    check_same_dim(av, bv, names=("a", "b"))
+    return float(_score_rows(metric, av, bv[None, :])[0])
 
 
 def sed_score(a, b) -> float:
     """Squared Euclidean distance. Smaller means more similar."""
-    av = as_vector(a, name="a")
-    bv = as_vector(b, name="b")
-    check_same_dim(av, bv, names=("a", "b"))
-    return float(np.sum((av - bv) ** 2))
+    return _score_pair(Metric.SED, a, b)
 
 
 def cosine_score(a, b) -> float:
     """Cosine similarity. Larger means more similar."""
-    av = as_vector(a, name="a")
-    bv = as_vector(b, name="b")
-    check_same_dim(av, bv, names=("a", "b"))
-    na = math.sqrt(np.sum(av * av))
-    nb = math.sqrt(np.sum(bv * bv))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateTemplateError("degenerate template: the zero vector has no direction")
-    return float(np.sum(av * bv) / (na * nb))
+    return _score_pair(Metric.COSINE, a, b)
 
 
 def score(metric: Metric, a, b) -> float:
@@ -102,10 +112,12 @@ class Threshold:
         object.__setattr__(self, "metric", metric)
 
     def accepts(self, score_value: float) -> bool:
-        s = float(score_value)
-        if self.metric is Metric.SED:
-            return s <= self.value
-        return s >= self.value
+        return bool(self.accepts_many(float(score_value)))
+
+    def accepts_many(self, scores) -> np.ndarray:
+        """Elementwise :meth:`accepts` over an array of scores."""
+        s = np.asarray(scores, dtype=np.float64)
+        return s <= self.value if self.metric is Metric.SED else s >= self.value
 
 
 @dataclass(frozen=True)
@@ -212,9 +224,9 @@ class QueryLedger:
         self.total = 0
         self.per_identity: dict[str, int] = {}
 
-    def record(self, identity: str) -> None:
-        self.total += 1
-        self.per_identity[identity] = self.per_identity.get(identity, 0) + 1
+    def record(self, identity: str, count: int = 1) -> None:
+        self.total += count
+        self.per_identity[identity] = self.per_identity.get(identity, 0) + count
 
     def snapshot(self) -> tuple[int, dict[str, int]]:
         return self.total, dict(self.per_identity)
@@ -232,6 +244,11 @@ class MatchingOracle:
     Queries that fail validation (unknown identity, wrong dimension) are not
     served and therefore not counted. With a ``query_limit``, each identity
     is locked out once it has been queried that many times.
+
+    The ``*_many`` methods take an ``(n, d)`` batch of probes in one locked
+    call and answer, count and add noise to each row exactly as ``n``
+    single-probe calls in row order would; the single-probe methods are
+    one-row batches.
     """
 
     def __init__(self, config: OracleConfig, *, noise_seed: SeedLike = 0):
@@ -292,29 +309,61 @@ class MatchingOracle:
             self._enrolled[identity] = arr
 
     def authenticate_score(self, identity: str, probe) -> float:
-        if self._config.mode is not OracleMode.SCORE:
-            raise OracleModeError("oracle is in binary mode and does not release scores")
-        return self._serve(identity, probe)
+        self._require(OracleMode.SCORE)
+        return float(self._serve(identity, probe, batch=False)[0])
 
     def authenticate_binary(self, identity: str, probe) -> bool:
-        if self._config.mode is not OracleMode.BINARY:
-            raise OracleModeError("oracle is in score mode; use authenticate_score")
-        return self._config.threshold.accepts(self._serve(identity, probe))
+        self._require(OracleMode.BINARY)
+        return self._config.threshold.accepts(self._serve(identity, probe, batch=False)[0])
 
-    def _serve(self, identity: str, probe) -> float:
+    def authenticate_score_many(self, identity: str, probes) -> np.ndarray:
+        """Released scores of the rows of ``probes``, as if each row were
+        sent alone, in order."""
+        self._require(OracleMode.SCORE)
+        return self._serve(identity, probes, batch=True)
+
+    def authenticate_binary_many(self, identity: str, probes) -> np.ndarray:
+        """Decisions on the rows of ``probes``, as if each row were sent
+        alone, in order."""
+        self._require(OracleMode.BINARY)
+        return self._config.threshold.accepts_many(self._serve(identity, probes, batch=True))
+
+    def _require(self, mode: OracleMode) -> None:
+        if self._config.mode is not mode:
+            if mode is OracleMode.SCORE:
+                raise OracleModeError("oracle is in binary mode and does not release scores")
+            raise OracleModeError("oracle is in score mode; use authenticate_score")
+
+    def _serve(self, identity: str, probes, *, batch: bool) -> np.ndarray:
+        """Score a batch of probes (one probe unless ``batch``) under the
+        lock. An invalid batch is refused whole. Under a query limit the
+        rows that fit are served, recorded and given their noise in order,
+        and a lockout is raised if any row is left over, so the ledger reads
+        what one call per row would have left."""
         with self._lock:
             if identity not in self._enrolled:
                 raise UnknownIdentityError(f"unknown identity {identity!r}")
             limit = self._config.query_limit
-            if limit is not None and self._ledger.per_identity.get(identity, 0) >= limit:
+            left = None if limit is None else limit - self._ledger.per_identity.get(identity, 0)
+            if left == 0:
                 raise LockedOutError(f"locked out: query limit of {limit} reached for {identity!r}")
             enrolled = self._enrolled[identity]
-            probe_arr = as_vector(probe, name="probe", dim=enrolled.size)
-            value = score(self._config.metric, enrolled, probe_arr)
+            if batch:
+                rows = as_matrix(probes, name="probes", dim=enrolled.size)
+            else:
+                rows = as_vector(probes, name="probe", dim=enrolled.size)[None, :]
+            values = _score_rows(self._config.metric, enrolled, rows)
+            n = len(values) if left is None else min(len(values), left)
+            values = values[:n]
             if self._config.noise_sigma > 0.0:
-                value += self._config.noise_sigma * float(self._noise_rng.standard_normal())
-            self._ledger.record(identity)
-            return value
+                values = values + self._config.noise_sigma * self._noise_rng.standard_normal(n)
+            self._ledger.record(identity, n)
+            if n < len(rows):
+                raise LockedOutError(
+                    f"locked out: query limit of {limit} reached for {identity!r} "
+                    f"after {n} of {len(rows)} probes"
+                )
+            return values
 
     def __repr__(self) -> str:
         return (

@@ -4,10 +4,17 @@ Wire format: one JSON object per line (UTF-8, newline-delimited) in each
 direction. Floats survive the round trip exactly because JSON renders them
 with ``repr``. Requests carry an ``op``:
 
-    {"op": "auth",   "claim": "0", "template": [...]}  -> {"score": s} | {"match": b}
-    {"op": "enroll", "claim": "x", "template": [...]}  -> {"ok": true}
-    {"op": "stats"}                                    -> {"queries": n}
-    {"op": "reset"}                                    -> {"ok": true}
+    {"op": "auth",      "claim": "0", "template": [...]}         -> {"score": s} | {"match": b}
+    {"op": "auth_many", "claim": "0", "templates": [[...], ...]} -> {"scores": [...]} | {"matches": [...]}
+    {"op": "enroll",    "claim": "x", "template": [...]}         -> {"ok": true}
+    {"op": "stats"}                                              -> {"queries": n}
+    {"op": "reset"}                                              -> {"ok": true}
+
+``auth_many`` answers each row as one ``auth`` would, in order. The client
+splits a batch into lines that fit :data:`MAX_REQUEST_BYTES` even when every
+number takes its longest rendering, so one batch may take several round
+trips. Under a query limit the server serves the rows of a line that fit,
+then answers ``LOCKED``; those rows count on its ledger.
 
 Errors come back as ``{"error": CODE, "message": ...}`` with codes
 ``BAD_REQUEST``, ``BAD_DIM``, ``UNKNOWN_IDENTITY``, ``LOCKED`` and
@@ -28,6 +35,8 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import (
     DimensionMismatchError,
     LockedOutError,
@@ -39,12 +48,16 @@ from .errors import (
 from .matcher import MatchingOracle, Metric, OracleMode
 from .rng import make_rng
 from .synth import build_scenario, load_model
-from .validation import as_vector
+from .validation import as_matrix, as_vector
 
 # Longest request line the server reads, newline included. A d=512 ``auth``
 # line is about 12 KB; the cap keeps one client from making the server
 # buffer an unbounded line.
 MAX_REQUEST_BYTES = 1 << 20
+
+# Longest JSON rendering of a finite float64 (``-2.2250738585072014e-308``)
+# plus its separator: the worst case ``auth_many`` lines are sized for.
+_MAX_FLOAT_CHARS = 25
 
 
 @dataclass(frozen=True)
@@ -143,6 +156,13 @@ class OracleServer:
                 if self.oracle.mode is OracleMode.SCORE:
                     return WireMessage({"score": self.oracle.authenticate_score(claim, template)})
                 return WireMessage({"match": self.oracle.authenticate_binary(claim, template)})
+            if op == "auth_many":
+                claim, templates = self._auth_args(payload, "templates")
+                if self.oracle.mode is OracleMode.SCORE:
+                    scores = self.oracle.authenticate_score_many(claim, templates)
+                    return WireMessage({"scores": scores.tolist()})
+                matches = self.oracle.authenticate_binary_many(claim, templates)
+                return WireMessage({"matches": matches.tolist()})
             if op == "enroll":
                 if not self.open_enrollment:
                     return _error("ENROLL_DISABLED", "server does not accept enrollments")
@@ -165,13 +185,13 @@ class OracleServer:
             return _error("BAD_REQUEST", str(exc))
 
     @staticmethod
-    def _auth_args(payload: dict) -> tuple[str, list]:
+    def _auth_args(payload: dict, key: str = "template") -> tuple[str, list]:
         claim = payload.get("claim")
         if not isinstance(claim, str) or not claim:
             raise ValueError("claim must be a nonempty string")
-        template = payload.get("template")
+        template = payload.get(key)
         if not isinstance(template, list):
-            raise ValueError("template must be a list of numbers")
+            raise ValueError(f"{key} must be a list")
         return claim, template
 
 
@@ -237,7 +257,7 @@ class RemoteOracle:
     attacks pick directions and guard misuse without extra round trips.
     Connecting is eager, so an unreachable server fails at construction.
     ``queries`` asks the server's ledger; ``sent_queries`` counts the
-    authentications this client got answered.
+    authentications this client got answered, one per row of a batch.
     """
 
     def __init__(self, address, *, metric: Metric, mode: OracleMode, timeout: float = 30.0):
@@ -292,6 +312,40 @@ class RemoteOracle:
         if not isinstance(value, bool):
             raise WireProtocolError(f"expected a boolean match, got {value!r}")
         return value
+
+    def authenticate_score_many(self, identity: str, probes) -> np.ndarray:
+        if self.mode is not OracleMode.SCORE:
+            raise OracleModeError("oracle is in binary mode and does not release scores")
+        values = self._auth_many(identity, probes, "scores")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise WireProtocolError("expected numeric scores")
+        return np.array(values, dtype=np.float64)
+
+    def authenticate_binary_many(self, identity: str, probes) -> np.ndarray:
+        if self.mode is not OracleMode.BINARY:
+            raise OracleModeError("oracle is in score mode; use authenticate_score")
+        values = self._auth_many(identity, probes, "matches")
+        if not all(isinstance(v, bool) for v in values):
+            raise WireProtocolError("expected boolean matches")
+        return np.array(values, dtype=bool)
+
+    def _auth_many(self, identity: str, probes, key: str) -> list:
+        """Send ``probes`` in ``auth_many`` lines of at most
+        :data:`MAX_REQUEST_BYTES`; returns the answers under ``key``."""
+        rows = as_matrix(probes, name="probes")
+        head = len(WireMessage({"op": "auth_many", "claim": identity, "templates": []}).to_line())
+        row_bytes = rows.shape[1] * _MAX_FLOAT_CHARS + 2  # brackets and separator
+        step = max(1, (MAX_REQUEST_BYTES - head) // row_bytes)
+        answers = []
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            doc = self._request({"op": "auth_many", "claim": identity, "templates": chunk.tolist()})
+            values = doc.get(key)
+            if not isinstance(values, list) or len(values) != len(chunk):
+                raise WireProtocolError(f"expected {len(chunk)} {key}, got {values!r:.80}")
+            self.sent_queries += len(values)
+            answers.extend(values)
+        return answers
 
     def enroll(self, identity: str, template) -> None:
         values = as_vector(template, name="template").tolist()

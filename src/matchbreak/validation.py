@@ -25,6 +25,21 @@ def as_vector(x, *, name: str = "vector", dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_matrix(x, *, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """Coerce ``x`` to a finite 2-D float64 array of ``n >= 0`` nonempty
+    rows, the batch counterpart of :func:`as_vector`. The result is
+    C-contiguous, so that reductions along a row run over adjacent values
+    and give each row the bits it would get alone."""
+    arr = np.asarray(x, dtype=np.float64, order="C")
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ValueError(f"{name} must be a 2-D array of nonempty rows")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+    if dim is not None and arr.shape[1] != dim:
+        raise DimensionMismatchError(f"{name} have dimension {arr.shape[1]}, expected {dim}")
+    return arr
+
+
 def check_same_dim(a: np.ndarray, b: np.ndarray, *, names: tuple[str, str] = ("a", "b")) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(

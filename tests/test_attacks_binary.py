@@ -292,3 +292,80 @@ class TestBoundarySearchAttack:
             BoundarySearchAttack(dim=16, threshold_estimate=0.0)
         with pytest.raises(ValueError):
             BoundarySearchAttack(dim=16, threshold_estimate=1.0, precision=0)
+
+
+class TestLockstep:
+    """The lockstep bisection against a per-point reference loop."""
+
+    @pytest.fixture(scope="class")
+    def setup24(self):
+        model = gen_identity_model(24, 40, within_noise_sigma=0.1, seed=21)
+        scores = impostor_scores(model, Metric.SED, 20000, seed=1)
+        return model, calibrate_threshold(scores, 0.05, Metric.SED).threshold
+
+    @staticmethod
+    def reference(oracle, claim, attack, seed, breaking_set):
+        """``binary-ours`` one boundary point at a time."""
+        rng = make_rng(seed)
+        member, _ = find_seed_match(oracle, claim, breaking_set)
+        radius = math.sqrt(attack.threshold_estimate)
+        points = np.stack([boundary_point(oracle, claim, member.values, radius, attack.precision, rng)
+                           for _ in range(attack.dim + 1)])
+        return points, attacks_module.sphere_center(points)
+
+    def test_equals_per_point_loop_without_redraws(self, setup24, monkeypatch):
+        model, threshold = setup24
+        attack = BoundarySearchAttack(dim=24, threshold_estimate=threshold.value, precision=16)
+        real = attacks_module.sphere_center
+        solved = []
+
+        def keeping(points, *args, **kwargs):
+            solved.append(np.array(points, copy=True))
+            return real(points, *args, **kwargs)
+
+        for target in range(6):
+            truth = enrollment_template(model, target).values
+            bs = gen_breaking_set(model, target, 600, seed=make_rng(3, target))
+            lockstep_oracle = binary_oracle(truth, threshold.value)
+            monkeypatch.setattr(attacks_module, "sphere_center", keeping)
+            result = attack.reconstruct(lockstep_oracle, "t", seed=target, breaking_set=bs)
+            monkeypatch.setattr(attacks_module, "sphere_center", real)
+            assert result.params["boundary_redraws"] == 0
+            loop_oracle = binary_oracle(truth, threshold.value)
+            points, center = self.reference(loop_oracle, "t", attack, target, bs)
+            assert np.array_equal(solved[-1], points)
+            assert np.array_equal(result.recovered.values, center)
+            assert result.queries_used == loop_oracle.queries == lockstep_oracle.queries
+
+    def test_redraws_and_doubling_per_ray(self):
+        """Every ray fails at the underestimated radius and succeeds once it
+        doubles; each round costs ``precision`` queries."""
+        truth = random_unit_vector(make_rng(4), 8)
+        threshold = 0.25
+        oracle = binary_oracle(truth, threshold)
+        precision = 6
+        points, rounds = attacks_module.boundary_points(
+            oracle, "t", truth, 0.4 * 0.5, precision, make_rng(15), 5)
+        assert rounds == 5 * 9 + 5
+        assert oracle.queries == rounds * precision
+        assert all(abs(sed_score(p, truth) - threshold) <= threshold / 2 ** (precision - 1) for p in points)
+
+    def test_queries_are_counted_on_the_client(self, setup24):
+        """The attack never reads the oracle's ledger, so the count needs no
+        round trip and holds only the attack's own queries."""
+
+        class NoLedger(MatchingOracle):
+            @property
+            def queries(self):
+                raise AssertionError("the attack read the ledger")
+
+        model, threshold = setup24
+        truth = enrollment_template(model, 1).values
+        oracle = NoLedger(OracleConfig(metric=Metric.SED, mode=OracleMode.BINARY,
+                                       threshold=Threshold(threshold.value, Metric.SED)))
+        oracle.enroll("t", truth)
+        bs = gen_breaking_set(model, 1, 600, seed=5)
+        result = BoundarySearchAttack(24, threshold.value, precision=10).reconstruct(oracle, "t", seed=1, breaking_set=bs)
+        x = result.params
+        assert result.queries_used == oracle.queries_for("t")
+        assert result.queries_used == x["seed_attempts"] + 10 * (25 + x["boundary_redraws"] + x["solve_resamples"])

@@ -184,6 +184,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="num_targets"):
             tiny_config(num_targets=100)
 
+    def test_attack_entry_with_dim_rejected_up_front(self):
+        with pytest.raises(ValueError, match="comes from the config"):
+            tiny_config(attacks=({"name": "score-sed", "dim": 16},))
+
 
 @pytest.fixture(scope="module")
 def report():

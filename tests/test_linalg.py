@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from matchbreak.errors import SingularSystemError
-from matchbreak.linalg import MAX_CONDITION, solve_linear_system, sphere_center
+from matchbreak.linalg import MAX_CONDITION, _condition_bound, solve_linear_system, sphere_center
 
 
 def test_identity_system():
@@ -161,3 +161,37 @@ class TestSphereCenter:
         pts = np.random.default_rng(0).standard_normal((4, 3))
         with pytest.raises(Exception):
             sphere_center(pts, [1.0, 2.0])
+
+
+@pytest.mark.parametrize(("kappa", "cleared_by_bound", "accepted"), [
+    (1e3, True, True),
+    (4e6, False, True),
+    (9.9e6, False, True),
+    (1.01e7, False, False),
+])
+def test_guard_decides_as_the_exact_condition_number(kappa, cleared_by_bound, accepted):
+    """The cheap Frobenius bound only ever clears a system early; near the
+    limit the exact condition number decides, so the verdict is always that
+    of the exact rule on the row-scaled matrix."""
+    d = 64
+    rng = np.random.default_rng(int(kappa))
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = (u * np.geomspace(1.0, 1.0 / kappa, d)) @ v.T
+    b = a @ rng.standard_normal(d)
+    scaled = a / np.max(np.abs(a), axis=1)[:, None]
+    assert (_condition_bound(scaled) <= MAX_CONDITION / 2) == cleared_by_bound
+    assert bool(np.linalg.cond(scaled) <= MAX_CONDITION) == accepted
+    if accepted:
+        assert np.array_equal(solve_linear_system(a, b), np.linalg.solve(a, b))
+    else:
+        with pytest.raises(SingularSystemError, match="condition number"):
+            solve_linear_system(a, b)
+
+
+def test_guard_falls_back_when_inversion_fails(monkeypatch):
+    def failing_inv(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])

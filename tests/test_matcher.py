@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchbreak.errors import (
     DegenerateTemplateError,
@@ -365,3 +367,103 @@ def test_query_ledger_standalone():
     ledger.reset()
     assert ledger.total == 0
     assert ledger.per_identity == {}
+
+
+probe_batches = st.tuples(
+    st.sampled_from([Metric.SED, Metric.COSINE]),
+    st.sampled_from([0.0, 0.3]),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+
+
+class TestBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(probe_batches)
+    def test_many_equals_per_probe_calls_bit_for_bit(self, case):
+        """Same answers, same ledger and the same noise stream as one call
+        per row, for C- and Fortran-ordered batches."""
+        metric, sigma, dim, n, seed, fortran = case
+        rng = np.random.default_rng(seed)
+        enrolled = rng.standard_normal(dim)
+        probes = rng.standard_normal((n, dim))
+        if fortran:
+            probes = np.asfortranarray(probes)
+        batched, single = (make_oracle(metric, noise_sigma=sigma) for _ in range(2))
+        for oracle in (batched, single):
+            oracle.enroll("a", enrolled)
+        many = batched.authenticate_score_many("a", probes)
+        one = np.array([single.authenticate_score("a", q) for q in probes])
+        assert many.dtype == np.float64 and np.array_equal(many, one)
+        assert batched.ledger_snapshot() == single.ledger_snapshot() == (n, {"a": n})
+        # the noise streams stay in step after the batch
+        assert batched.authenticate_score("a", probes[0]) == single.authenticate_score("a", probes[0])
+
+        cut = float(np.median(one))
+        threshold = Threshold(max(cut, 1e-6) if metric is Metric.SED else float(np.clip(cut, -0.999, 0.999)), metric)
+        decide_many, decide_one = (make_oracle(metric, OracleMode.BINARY, threshold, noise_sigma=sigma)
+                                   for _ in range(2))
+        for oracle in (decide_many, decide_one):
+            oracle.enroll("a", enrolled)
+        matches = decide_many.authenticate_binary_many("a", probes)
+        assert matches.dtype == bool
+        assert matches.tolist() == [decide_one.authenticate_binary("a", q) for q in probes]
+
+    def test_zero_probe_refuses_the_batch(self):
+        oracle = make_oracle(Metric.COSINE)
+        oracle.enroll("a", [1.0, 0.0])
+        with pytest.raises(DegenerateTemplateError):
+            oracle.authenticate_score("a", [0.0, 0.0])
+        with pytest.raises(DegenerateTemplateError):
+            oracle.authenticate_score_many("a", [[1.0, 1.0], [0.0, 0.0]])
+        assert oracle.queries == 0
+
+    def test_invalid_batch_refused_whole(self):
+        oracle = make_oracle()
+        oracle.enroll("a", [1.0, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            oracle.authenticate_score_many("a", np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle.authenticate_score_many("a", [[0.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="2-D"):
+            oracle.authenticate_score_many("a", [0.0, 0.0])
+        with pytest.raises(UnknownIdentityError):
+            oracle.authenticate_score_many("b", np.zeros((2, 2)))
+        assert oracle.queries == 0
+        assert oracle.authenticate_score_many("a", np.zeros((0, 2))).shape == (0,)
+
+    def test_mode_guards(self):
+        with pytest.raises(OracleModeError):
+            make_oracle().authenticate_binary_many("a", np.zeros((1, 2)))
+        with pytest.raises(OracleModeError):
+            make_oracle(mode=OracleMode.BINARY).authenticate_score_many("a", np.zeros((1, 2)))
+
+    def test_lockout_serves_the_prefix_that_fits(self):
+        """A batch past the limit serves, counts and draws noise for the
+        rows that fit, in order, then raises: the ledger and the noise
+        stream end where one call per row would have left them."""
+        probes = np.random.default_rng(3).standard_normal((6, 4))
+        batched, single = (make_oracle(noise_sigma=0.5, query_limit=5) for _ in range(2))
+        for oracle in (batched, single):
+            oracle.enroll("a", np.ones(4))
+            oracle.enroll("b", np.ones(4))
+            oracle.authenticate_score("a", probes[0])
+            oracle.authenticate_score("a", probes[1])
+        with pytest.raises(LockedOutError, match="after 3 of 6 probes"):
+            batched.authenticate_score_many("a", probes)
+        with pytest.raises(LockedOutError):
+            for q in probes:
+                single.authenticate_score("a", q)
+        assert batched.ledger_snapshot() == single.ledger_snapshot() == (5, {"a": 5})
+        assert batched.authenticate_score("b", probes[0]) == single.authenticate_score("b", probes[0])
+        with pytest.raises(LockedOutError):
+            batched.authenticate_score_many("a", probes[:1])
+        assert batched.queries_for("a") == 5
+
+    def test_batch_that_fits_exactly_is_served(self):
+        oracle = make_oracle(query_limit=3)
+        oracle.enroll("a", [1.0, 0.0])
+        assert oracle.authenticate_score_many("a", np.zeros((3, 2))).tolist() == [1.0, 1.0, 1.0]
+        assert oracle.queries_for("a") == 3

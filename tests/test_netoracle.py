@@ -12,12 +12,14 @@ from matchbreak.errors import (
     UnknownIdentityError,
     WireProtocolError,
 )
+from matchbreak.attacks import BoundarySearchAttack
 from matchbreak.matcher import (
     MatchingOracle,
     Metric,
     OracleConfig,
     OracleMode,
     Threshold,
+    calibrate_threshold,
 )
 from matchbreak.netoracle import (
     MAX_REQUEST_BYTES,
@@ -30,7 +32,13 @@ from matchbreak.netoracle import (
     server_from_config,
 )
 from matchbreak.rng import make_rng
-from matchbreak.synth import enrollment_template, gen_identity_model, save_model
+from matchbreak.synth import (
+    enrollment_template,
+    gen_breaking_set,
+    gen_identity_model,
+    impostor_scores,
+    save_model,
+)
 
 DIM = 8
 
@@ -287,3 +295,140 @@ class TestServerFromConfig:
     def test_missing_model_key(self):
         with pytest.raises(ValueError, match="model"):
             server_from_config({"mode": "score"})
+
+
+def recording(server):
+    """Keep every request line the server dispatches."""
+    lines = []
+    dispatch = server._dispatch
+
+    def keeping(raw):
+        lines.append(raw)
+        return dispatch(raw)
+
+    server._dispatch = keeping
+    return lines
+
+
+def twin_oracles(metric, mode, enrolled, threshold=None, noise_seed=0, **kwargs):
+    """Two identical oracles with ``enrolled`` under claim "0"."""
+    oracles = []
+    for _ in range(2):
+        config = OracleConfig(metric=metric, mode=mode, threshold=threshold, **kwargs)
+        oracle = MatchingOracle(config, noise_seed=noise_seed)
+        oracle.enroll("0", enrolled)
+        oracles.append(oracle)
+    return oracles
+
+
+class TestBatches:
+    def test_d512_binary_batch_equals_local_in_capped_lines(self):
+        rng = make_rng(5, "batch")
+        enrolled = rng.standard_normal(512)
+        probes = enrolled + 0.05 * rng.standard_normal((513, 512))
+        cut = float(np.median(np.sum((probes - enrolled) ** 2, axis=1)))
+        local, served = twin_oracles(Metric.SED, OracleMode.BINARY, enrolled, Threshold(cut, Metric.SED))
+        expected = local.authenticate_binary_many("0", probes)
+        with serve(served) as server:
+            lines = recording(server)
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
+                matches = remote.authenticate_binary_many("0", probes)
+                assert remote.sent_queries == 513
+        assert matches.dtype == bool and np.array_equal(matches, expected)
+        assert 0 < matches.sum() < 513
+        assert served.ledger_snapshot() == (513, {"0": 513})
+        assert len(lines) > 1
+        assert all(len(line) <= MAX_REQUEST_BYTES for line in lines)
+
+    def test_longest_float_renderings_fit_a_line(self):
+        local = make_local(OracleMode.SCORE)
+        probes = np.full((300, 512), -2.2250738585072014e-308)
+        with serve(local) as server:
+            lines = recording(server)
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                with pytest.raises(DimensionMismatchError):
+                    remote.authenticate_score_many("0", probes)
+        assert all(len(line) <= MAX_REQUEST_BYTES for line in lines)
+        assert max(len(line) for line in lines) > 0.95 * MAX_REQUEST_BYTES
+
+    @pytest.mark.parametrize("metric", [Metric.SED, Metric.COSINE])
+    def test_scores_with_noise_equal_local(self, metric):
+        rng = make_rng(6, "scores")
+        enrolled = rng.standard_normal(DIM)
+        probes = rng.standard_normal((50, DIM))
+        local, served = twin_oracles(metric, OracleMode.SCORE, enrolled, noise_sigma=0.2, noise_seed=3)
+        expected = local.authenticate_score_many("0", probes)
+        with serve(served) as server:
+            with remote_oracle(server.address, metric=metric, mode=OracleMode.SCORE) as remote:
+                assert np.array_equal(remote.authenticate_score_many("0", probes), expected)
+                assert remote.authenticate_score("0", probes[0]) == local.authenticate_score("0", probes[0])
+
+    def test_lockout_where_lines_span_the_limit(self):
+        rng = make_rng(7, "lockout")
+        enrolled = rng.standard_normal(512)
+        probes = rng.standard_normal((200, 512))
+        local, served = twin_oracles(Metric.SED, OracleMode.SCORE, enrolled, query_limit=100)
+        with pytest.raises(LockedOutError):
+            local.authenticate_score_many("0", probes)
+        with serve(served) as server:
+            lines = recording(server)
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                with pytest.raises(LockedOutError):
+                    remote.authenticate_score_many("0", probes)
+                first_line_rows = len(json.loads(lines[0])["templates"])
+                assert first_line_rows < 100 < 2 * first_line_rows
+                assert remote.sent_queries == first_line_rows
+        assert served.ledger_snapshot() == local.ledger_snapshot() == (100, {"0": 100})
+
+    def test_bad_batches(self):
+        with serve(make_local(OracleMode.SCORE)) as server:
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                with pytest.raises(DimensionMismatchError):
+                    remote.authenticate_score_many("0", np.zeros((2, DIM + 1)))
+                with pytest.raises(UnknownIdentityError):
+                    remote.authenticate_score_many("nobody", np.zeros((2, DIM)))
+                with pytest.raises(OracleModeError):
+                    remote.authenticate_binary_many("0", np.zeros((2, DIM)))
+                assert remote.sent_queries == 0
+            with socket.create_connection(server.address) as sock:
+                f = sock.makefile("rwb")
+                for payload in (
+                    {"op": "auth_many", "claim": "0", "templates": [[0.0] * DIM, [0.0]]},
+                    {"op": "auth_many", "claim": "0", "templates": [0.0] * DIM},
+                    {"op": "auth_many", "claim": "0", "template": [[0.0] * DIM]},
+                ):
+                    f.write(WireMessage(payload).to_line())
+                    f.flush()
+                    assert json.loads(f.readline())["error"] == "BAD_REQUEST"
+
+    def test_binary_ours_counts_its_own_queries_beside_another_client(self):
+        """A recovery over the wire reports the query formula's count and
+        asks the server for no ledger figure, while a second client queries
+        the same identity."""
+        model = gen_identity_model(16, 30, within_noise_sigma=0.1, seed=4)
+        threshold = calibrate_threshold(impostor_scores(model, Metric.SED, 50000, seed=0), 0.05, Metric.SED).threshold
+        oracle = MatchingOracle(OracleConfig(metric=Metric.SED, mode=OracleMode.BINARY, threshold=threshold))
+        oracle.enroll("5", enrollment_template(model, 5).values)
+        attack = BoundarySearchAttack(dim=16, threshold_estimate=threshold.value, precision=20)
+        bs = gen_breaking_set(model, 5, 400, seed=12)
+        stop = threading.Event()
+        with serve(oracle) as server:
+            lines = recording(server)
+
+            def other_client():
+                with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as other:
+                    while not stop.is_set():
+                        other.authenticate_binary("5", np.zeros(16))
+
+            thread = threading.Thread(target=other_client)
+            thread.start()
+            try:
+                with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
+                    result = attack.reconstruct(remote, "5", seed=6, breaking_set=bs)
+            finally:
+                stop.set()
+                thread.join()
+        x = result.params
+        assert result.queries_used == x["seed_attempts"] + 20 * (17 + x["boundary_redraws"] + x["solve_resamples"])
+        assert oracle.queries > result.queries_used
+        assert not any(json.loads(line)["op"] == "stats" for line in lines)
