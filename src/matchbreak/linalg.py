@@ -5,9 +5,17 @@ because the attacks need a hard failure signal: when the chosen probe
 geometry yields a system whose row-scaled 2-norm condition number exceeds
 :data:`MAX_CONDITION`, the solver raises :class:`SingularSystemError` so the
 caller can resample its probes instead of accepting an unreliable solution.
+The guard and the solve run on one BLAS thread (:func:`_one_blas_thread`).
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +26,13 @@ from .validation import as_vector
 # number of about 4e3 (d=128) to 3e4 (d=512) in the median and stay below
 # 2e6 in practice; a draw above 1e7 has been seen to lose the template.
 MAX_CONDITION = 1e7
+
+# OpenBLAS's thread-count calls as the numpy wheels' scipy-openblas builds
+# export them: 64-bit integer builds with a suffix, 32-bit ones without.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
 
 def solve_linear_system(a, b) -> np.ndarray:
@@ -38,15 +53,17 @@ def solve_linear_system(a, b) -> np.ndarray:
     if np.any(scale == 0.0):
         raise SingularSystemError("singular system: zero row in coefficient matrix")
     scaled = a / scale[:, None]
-    # The exact condition number costs an SVD; the bound costs an inversion
-    # and clears the systems well inside the limit, which is nearly all.
-    if not _condition_bound(scaled) <= MAX_CONDITION / 2:
-        kappa = float(np.linalg.cond(scaled))
-        if not kappa <= MAX_CONDITION:
-            raise SingularSystemError(
-                f"singular system: condition number {kappa:.3g} exceeds {MAX_CONDITION:.3g}"
-            )
-    return np.linalg.solve(a, b)
+    with _one_blas_thread():
+        # The exact condition number costs an SVD; the bound costs an
+        # inversion and clears the systems well inside the limit, which is
+        # nearly all.
+        if not _condition_bound(scaled) <= MAX_CONDITION / 2:
+            kappa = float(np.linalg.cond(scaled))
+            if not kappa <= MAX_CONDITION:
+                raise SingularSystemError(
+                    f"singular system: condition number {kappa:.3g} exceeds {MAX_CONDITION:.3g}"
+                )
+        return np.linalg.solve(a, b)
 
 
 def _condition_bound(a: np.ndarray) -> float:
@@ -58,6 +75,70 @@ def _condition_bound(a: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         return np.inf
     return float(np.linalg.norm(a) * np.linalg.norm(inverse))
+
+
+@functools.cache
+def _openblas_threads():
+    """The ``(get, set)`` thread-count calls of the OpenBLAS bundled with
+    numpy (``numpy.libs``, as in the numpy wheels), or None where there is
+    none or it exports none of those calls."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    # NOLOAD: only look the library up if numpy has already loaded it
+    mode = getattr(os, "RTLD_NOLOAD", 0) | getattr(os, "RTLD_NOW", 0)
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=mode)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_threads_before = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+
+    On two CPUs OpenBLAS splits a d=512 inversion and solve between two
+    threads and waits for the slower, so the call slows down whenever the
+    other CPU is busy: beside a process busy 40% of the time it took 49 ms
+    in the mean and up to 300 ms, against 34 ms and at most 50 ms on one
+    thread. Its worker also spins for a while after every call, so with a
+    solve every 80 ms it never rests and a recovery loop burns 1.6 CPUs
+    instead of 1. One thread also makes the solution's bits independent of
+    the machine's CPU count.
+
+    The count is process-wide: the first block in sets it and the last one
+    out restores it, so blocks in several threads may overlap. Without a
+    bundled OpenBLAS the block runs as numpy has it.
+    """
+    global _blas_holders, _blas_threads_before
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_threads_before = get()
+            set_(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_(_blas_threads_before)
 
 
 def sphere_center(points, sq_distances=None) -> np.ndarray:

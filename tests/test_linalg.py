@@ -7,6 +7,7 @@ route on random well-conditioned systems.
 import numpy as np
 import pytest
 
+from matchbreak import linalg
 from matchbreak.errors import SingularSystemError
 from matchbreak.linalg import MAX_CONDITION, _condition_bound, solve_linear_system, sphere_center
 
@@ -194,4 +195,55 @@ def test_guard_falls_back_when_inversion_fails(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
+
+
+def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    calls = linalg._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy has no bundled OpenBLAS to set")
+    get, set_ = calls
+    original = get()
+    set_(2)  # OpenBLAS caps this at what it supports, so read it back
+    before = get()
+    seen = []
+    real_solve, real_inv = np.linalg.solve, np.linalg.inv
+
+    def spying_solve(a, b):
+        seen.append(("solve", get()))
+        return real_solve(a, b)
+
+    def spying_inv(a):
+        seen.append(("inv", get()))
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "solve", spying_solve)
+    monkeypatch.setattr(np.linalg, "inv", spying_inv)
+    try:
+        assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
+        assert seen == [("inv", 1), ("solve", 1)]
+        assert get() == before
+        with pytest.raises(SingularSystemError):
+            solve_linear_system([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 1.0])
+        assert get() == before
+    finally:
+        set_(original)
+
+
+def test_overlapping_one_thread_blocks_restore_the_count_when_the_last_leaves(monkeypatch):
+    threads = [4]
+    monkeypatch.setattr(linalg, "_openblas_threads",
+                        lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+    first, second = linalg._one_blas_thread(), linalg._one_blas_thread()
+    first.__enter__()
+    assert threads == [1]
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert threads == [1]
+    second.__exit__(None, None, None)
+    assert threads == [4]
+
+
+def test_solve_without_a_bundled_openblas(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
     assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
