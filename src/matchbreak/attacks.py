@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linalg import solve_linear_system, sphere_center
 from .matcher import Metric, OracleMode
-from .rng import SeedLike, as_generator, random_unit_vector
+from .rng import SeedLike, as_generator, random_unit_vector, random_unit_vectors
 from .synth import BreakingSet
 from .templates import Template, normalize
 from .validation import as_vector, check_count, check_positive
@@ -366,7 +366,7 @@ def boundary_points(
     rounds = 0
     for radius in (radius_estimate, 2.0 * radius_estimate):
         for _ in range(max_direction_redraws + 1):
-            directions = np.stack([random_unit_vector(rng, center.size) for _ in pending])
+            directions = random_unit_vectors(rng, center.size, len(pending))
             inside = np.tile(center, (len(pending), 1))
             outside = center + (2.0 * radius) * directions
             left_region = np.zeros(len(pending), dtype=bool)

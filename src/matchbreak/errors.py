@@ -30,7 +30,15 @@ class UnknownIdentityError(MatchbreakError, KeyError):
 
 
 class LockedOutError(MatchbreakError, RuntimeError):
-    """The oracle refuses further queries because its limit was reached."""
+    """The oracle refuses further queries because its limit was reached.
+
+    `served` counts the probes of the refused call that were served, and
+    recorded on the ledger, before the limit was reached.
+    """
+
+    def __init__(self, message: str, served: int = 0):
+        super().__init__(message)
+        self.served = served
 
 
 class OracleModeError(MatchbreakError, ValueError):

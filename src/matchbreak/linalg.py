@@ -6,6 +6,30 @@ geometry yields a system whose row-scaled 2-norm condition number exceeds
 :data:`MAX_CONDITION`, the solver raises :class:`SingularSystemError` so the
 caller can resample its probes instead of accepting an unreliable solution.
 The guard and the solve run on one BLAS thread (:func:`_one_blas_thread`).
+
+The exact condition number costs an SVD, about eight solves at d=512, so
+the guard first tries a cheap upper bound and takes the SVD only when the
+bound is above ``MAX_CONDITION / 2``. The bound comes from one solve of the
+row-scaled matrix ``A_s`` against :data:`_PROBES` fixed Gaussian columns
+``G`` (:func:`_probe_matrix`): with ``Y = A_s^-1 G``,
+
+    B = ||A_s||_F ||Y||_F / sqrt(_PROBES / 2).
+
+``||Y||_F^2`` is at least ``sigma_max(A_s^-1)^2`` times a chi-square
+variable with :data:`_PROBES` degrees of freedom, and ``||A_s||_F`` is at
+least ``sigma_max(A_s)``, so ``B >= kappa_2 sqrt(chi2 / 32)``. A system with
+``kappa_2 > MAX_CONDITION`` is cleared by ``B <= MAX_CONDITION / 2`` only if
+the chi-square draw is below 8, which has probability about 1.5e-18. ``G``
+comes from its own fixed Philox stream, so it is independent of every
+matrix the attacks draw; the bound never changes the verdict of the exact
+rule except with that probability, and it never touches the solution,
+which comes from its own ``np.linalg.solve(a, b)``.
+
+Dividing by ``sqrt(_PROBES)`` would only estimate ``||A_s||_F ||A_s^-1||_F``;
+``sqrt(_PROBES / 2)`` is what makes ``B`` a bound. 64 columns make the tail
+that thin while their triangular solves still cost less than the LU
+factorisation they follow: at d=512 on one thread of a 2-vCPU VM the probe
+bound took 7 to 10 ms, the inverse it replaces 25 to 31 ms.
 """
 
 from __future__ import annotations
@@ -13,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from pathlib import Path
@@ -20,12 +45,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SingularSystemError
+from .rng import make_rng
 from .validation import as_vector
 
 # Sphere systems from binary-ours boundary points have a row-scaled condition
 # number of about 4e3 (d=128) to 3e4 (d=512) in the median and stay below
 # 2e6 in practice; a draw above 1e7 has been seen to lose the template.
 MAX_CONDITION = 1e7
+
+# Probe columns and divisor of the condition bound (see the module docstring).
+_PROBES = 64
+_PROBE_DIVISOR = math.sqrt(_PROBES / 2)
 
 # OpenBLAS's thread-count calls as the numpy wheels' scipy-openblas builds
 # export them: 64-bit integer builds with a suffix, 32-bit ones without.
@@ -54,8 +84,8 @@ def solve_linear_system(a, b) -> np.ndarray:
         raise SingularSystemError("singular system: zero row in coefficient matrix")
     scaled = a / scale[:, None]
     with _one_blas_thread():
-        # The exact condition number costs an SVD; the bound costs an
-        # inversion and clears the systems well inside the limit, which is
+        # The exact condition number costs an SVD; the bound costs one
+        # solve and clears the systems well inside the limit, which is
         # nearly all.
         if not _condition_bound(scaled) <= MAX_CONDITION / 2:
             kappa = float(np.linalg.cond(scaled))
@@ -67,14 +97,28 @@ def solve_linear_system(a, b) -> np.ndarray:
 
 
 def _condition_bound(a: np.ndarray) -> float:
-    """``||A||_F ||A^-1||_F``, an upper bound on the 2-norm condition number
-    (infinite when ``A`` cannot be inverted). Over real sphere systems it
-    stays within a factor of 4 of the condition number."""
+    """``||A||_F ||A^-1 G||_F / sqrt(32)`` for the fixed probe matrix ``G``
+    of :func:`_probe_matrix`: at least the 2-norm condition number of ``A``
+    except with probability about 1.5e-18 (a chi-square with 64 degrees of
+    freedom below 8; see the module docstring), and infinite when ``A``
+    cannot be solved. ``G`` is fixed and drawn independently of the
+    attacks' streams. On the sphere systems of 40 d=512 ``binary-ours``
+    recoveries it was at most 3.4 times the condition number."""
     try:
-        inverse = np.linalg.inv(a)
+        probed = np.linalg.solve(a, _probe_matrix(a.shape[0]))
     except np.linalg.LinAlgError:
         return np.inf
-    return float(np.linalg.norm(a) * np.linalg.norm(inverse))
+    return float(np.linalg.norm(a) * np.linalg.norm(probed) / _PROBE_DIVISOR)
+
+
+@functools.lru_cache(maxsize=8)
+def _probe_matrix(n: int) -> np.ndarray:
+    """The ``(n, _PROBES)`` standard-normal probe columns of the condition
+    bound, from a fixed Philox stream of their own; read-only, since every
+    solve of size ``n`` shares them."""
+    probes = make_rng(0, "condition-probes", n).standard_normal((n, _PROBES))
+    probes.setflags(write=False)
+    return probes
 
 
 @functools.cache
@@ -108,7 +152,7 @@ _blas_threads_before = 0
 def _one_blas_thread():
     """Run the block with OpenBLAS on one thread, then restore its count.
 
-    On two CPUs OpenBLAS splits a d=512 inversion and solve between two
+    On two CPUs OpenBLAS splits a d=512 guard and solve between two
     threads and waits for the slower, so the call slows down whenever the
     other CPU is busy: beside a process busy 40% of the time it took 49 ms
     in the mean and up to 300 ms, against 34 ms and at most 50 ms on one

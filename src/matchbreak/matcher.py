@@ -361,7 +361,8 @@ class MatchingOracle:
             if n < len(rows):
                 raise LockedOutError(
                     f"locked out: query limit of {limit} reached for {identity!r} "
-                    f"after {n} of {len(rows)} probes"
+                    f"after {n} of {len(rows)} probes",
+                    served=n,
                 )
             return values
 

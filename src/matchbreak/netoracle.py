@@ -6,6 +6,7 @@ with ``repr``. Requests carry an ``op``:
 
     {"op": "auth",      "claim": "0", "template": [...]}         -> {"score": s} | {"match": b}
     {"op": "auth_many", "claim": "0", "templates": [[...], ...]} -> {"scores": [...]} | {"matches": [...]}
+                                                                    | {"error": "LOCKED", "message": ..., "served": n}
     {"op": "enroll",    "claim": "x", "template": [...]}         -> {"ok": true}
     {"op": "stats"}                                              -> {"queries": n}
     {"op": "reset"}                                              -> {"ok": true}
@@ -14,7 +15,8 @@ with ``repr``. Requests carry an ``op``:
 splits a batch into lines that fit :data:`MAX_REQUEST_BYTES` even when every
 number takes its longest rendering, so one batch may take several round
 trips. Under a query limit the server serves the rows of a line that fit,
-then answers ``LOCKED``; those rows count on its ledger.
+then answers ``LOCKED`` with their number as ``served`` (an ``auth`` gets 0);
+those rows count on its ledger and in the client's ``sent_queries``.
 
 Errors come back as ``{"error": CODE, "message": ...}`` with codes
 ``BAD_REQUEST``, ``BAD_DIM``, ``UNKNOWN_IDENTITY``, ``LOCKED`` and
@@ -176,7 +178,7 @@ class OracleServer:
                 return WireMessage({"ok": True})
             return _error("BAD_REQUEST", f"unknown op {op!r}")
         except LockedOutError as exc:
-            return _error("LOCKED", str(exc))
+            return WireMessage({"error": "LOCKED", "message": str(exc), "served": exc.served})
         except UnknownIdentityError as exc:
             return _error("UNKNOWN_IDENTITY", str(exc.args[0]))
         except DimensionMismatchError as exc:
@@ -244,7 +246,6 @@ def _parse_address(address) -> tuple[str, int]:
 
 
 _ERROR_CLASSES = {
-    "LOCKED": LockedOutError,
     "UNKNOWN_IDENTITY": UnknownIdentityError,
     "BAD_DIM": DimensionMismatchError,
 }
@@ -283,6 +284,11 @@ class RemoteOracle:
         if "error" in doc:
             code = doc["error"]
             message = doc.get("message", str(code))
+            if code == "LOCKED":
+                served = doc.get("served", 0)
+                if not isinstance(served, int) or isinstance(served, bool) or served < 0:
+                    raise WireProtocolError(f"expected a served count, got {served!r}", code=code)
+                raise LockedOutError(message, served=served)
             exc_class = _ERROR_CLASSES.get(code)
             if exc_class is not None:
                 raise exc_class(message)
@@ -331,7 +337,9 @@ class RemoteOracle:
 
     def _auth_many(self, identity: str, probes, key: str) -> list:
         """Send ``probes`` in ``auth_many`` lines of at most
-        :data:`MAX_REQUEST_BYTES`; returns the answers under ``key``."""
+        :data:`MAX_REQUEST_BYTES`; returns the answers under ``key``. On
+        lockout the rows the server served count in ``sent_queries``, and
+        the error's ``served`` counts them over the whole batch."""
         rows = as_matrix(probes, name="probes")
         head = len(WireMessage({"op": "auth_many", "claim": identity, "templates": []}).to_line())
         row_bytes = rows.shape[1] * _MAX_FLOAT_CHARS + 2  # brackets and separator
@@ -339,7 +347,14 @@ class RemoteOracle:
         answers = []
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
-            doc = self._request({"op": "auth_many", "claim": identity, "templates": chunk.tolist()})
+            try:
+                doc = self._request({"op": "auth_many", "claim": identity, "templates": chunk.tolist()})
+            except LockedOutError as exc:
+                if exc.served > len(chunk):
+                    raise WireProtocolError(f"server served {exc.served} of {len(chunk)} rows") from exc
+                self.sent_queries += exc.served
+                exc.served += len(answers)
+                raise
             values = doc.get(key)
             if not isinstance(values, list) or len(values) != len(chunk):
                 raise WireProtocolError(f"expected {len(chunk)} {key}, got {values!r:.80}")

@@ -9,6 +9,7 @@ different keys are statistically independent and reproducible across runs.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -55,10 +56,27 @@ def as_generator(seed: SeedLike, *keys: int | str) -> np.random.Generator:
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Draw a direction uniformly from the unit sphere in ``dim`` dimensions."""
+    return random_unit_vectors(rng, dim, 1)[0]
+
+
+def random_unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """Draw ``count`` directions as the rows of a ``(count, dim)`` array.
+
+    One ``standard_normal((count, dim))`` call consumes the stream as
+    ``count`` calls of :func:`random_unit_vector` would, and each row is
+    divided by ``sqrt(row.dot(row))``, the product ``np.linalg.norm`` takes
+    of a vector, so the rows equal those calls' results bit for bit. A zero
+    row (probability zero) is redrawn after the whole batch is drawn.
+    """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    while True:
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm > 0.0:  # a zero draw has probability zero but would divide by zero
-            return v / norm
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    rows = rng.standard_normal((count, dim))
+    for row in rows:
+        sq_norm = row.dot(row)
+        while sq_norm == 0.0:  # probability zero, but it would divide by zero
+            row[:] = rng.standard_normal(dim)
+            sq_norm = row.dot(row)
+        row /= math.sqrt(sq_norm)
+    return rows

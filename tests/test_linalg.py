@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from matchbreak import linalg
+from matchbreak.attacks import boundary_points
 from matchbreak.errors import SingularSystemError
 from matchbreak.linalg import MAX_CONDITION, _condition_bound, solve_linear_system, sphere_center
+from matchbreak.matcher import MatchingOracle, Metric, OracleConfig, OracleMode, Threshold
+from matchbreak.rng import make_rng, random_unit_vector
 
 
 def test_identity_system():
@@ -171,7 +174,7 @@ class TestSphereCenter:
     (1.01e7, False, False),
 ])
 def test_guard_decides_as_the_exact_condition_number(kappa, cleared_by_bound, accepted):
-    """The cheap Frobenius bound only ever clears a system early; near the
+    """The cheap probe bound only ever clears a system early; near the
     limit the exact condition number decides, so the verdict is always that
     of the exact rule on the row-scaled matrix."""
     d = 64
@@ -190,12 +193,86 @@ def test_guard_decides_as_the_exact_condition_number(kappa, cleared_by_bound, ac
             solve_linear_system(a, b)
 
 
-def test_guard_falls_back_when_inversion_fails(monkeypatch):
-    def failing_inv(a):
-        raise np.linalg.LinAlgError("Singular matrix")
+def test_guard_falls_back_when_the_probe_solve_fails(monkeypatch):
+    """When the probe solve (the one with a matrix right-hand side) fails,
+    the exact condition number decides, both ways."""
+    real_solve, real_cond = np.linalg.solve, np.linalg.cond
+    conds = []
 
-    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    def failing_probe_solve(a, b):
+        if np.ndim(b) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    def counting_cond(a):
+        conds.append(a.shape)
+        return real_cond(a)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_probe_solve)
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    assert np.isinf(_condition_bound(np.eye(2)))
     assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
+    assert conds == [(2, 2)]
+    with pytest.raises(SingularSystemError, match="condition number"):
+        solve_linear_system([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 1.0])
+    assert conds == [(2, 2), (2, 2)]
+
+
+def _scaled(a):
+    return a / np.max(np.abs(a), axis=1)[:, None]
+
+
+def _guard_verdict(a, b):
+    """Whether ``solve_linear_system`` accepts ``a``; an accepted solution
+    must be LAPACK's on one thread, bit for bit."""
+    try:
+        x = solve_linear_system(a, b)
+    except SingularSystemError:
+        return False
+    with linalg._one_blas_thread():
+        assert np.array_equal(x, np.linalg.solve(a, b))
+    return True
+
+
+def test_guard_bound_holds_on_random_systems():
+    """Over systems with condition numbers from 1e1 to 1e9 and uneven row
+    scales, the probe bound is never below the row-scaled kappa_2 and the
+    guard's verdict is always the exact rule's."""
+    rng = np.random.default_rng(2024)
+    cleared = refused = 0
+    for kappa in np.geomspace(1e1, 1e9, 200):
+        d = int(rng.integers(2, 49))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = (u * np.geomspace(1.0, 1.0 / kappa, d)) @ v.T
+        a *= np.exp(rng.uniform(-5.0, 5.0, d))[:, None]
+        scaled_kappa = np.linalg.cond(_scaled(a))
+        bound = _condition_bound(_scaled(a))
+        assert bound >= scaled_kappa
+        assert _guard_verdict(a, rng.standard_normal(d)) == (scaled_kappa <= MAX_CONDITION)
+        cleared += bound <= MAX_CONDITION / 2
+        refused += scaled_kappa > MAX_CONDITION
+    assert cleared > 50 and refused > 20  # both sides of the limit were exercised
+
+
+def test_guard_bound_holds_on_real_sphere_systems():
+    """The systems ``binary-ours`` solves: d + 1 bisected boundary points
+    of a d=128 threshold sphere. Each is cleared by the bound, which stays
+    within a small factor of kappa_2."""
+    d, threshold = 128, 0.5
+    for seed in range(4):
+        truth = random_unit_vector(make_rng(seed, "truth"), d)
+        oracle = MatchingOracle(OracleConfig(metric=Metric.SED, mode=OracleMode.BINARY,
+                                             threshold=Threshold(threshold, Metric.SED)))
+        oracle.enroll("t", truth)
+        start = truth + 0.9 * np.sqrt(threshold) * random_unit_vector(make_rng(seed, "start"), d)
+        points, _ = boundary_points(oracle, "t", start, np.sqrt(threshold), 20, make_rng(seed), d + 1)
+        a = 2.0 * (points[-1] - points[:-1])
+        scaled_kappa = np.linalg.cond(_scaled(a))
+        bound = _condition_bound(_scaled(a))
+        assert scaled_kappa <= bound <= min(10.0 * scaled_kappa, MAX_CONDITION / 2)
+        sq_norms = np.einsum("ij,ij->i", points, points)
+        assert _guard_verdict(a, sq_norms[-1] - sq_norms[:-1])
 
 
 def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
@@ -207,21 +284,16 @@ def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
     set_(2)  # OpenBLAS caps this at what it supports, so read it back
     before = get()
     seen = []
-    real_solve, real_inv = np.linalg.solve, np.linalg.inv
+    real_solve = np.linalg.solve
 
     def spying_solve(a, b):
         seen.append(("solve", get()))
         return real_solve(a, b)
 
-    def spying_inv(a):
-        seen.append(("inv", get()))
-        return real_inv(a)
-
     monkeypatch.setattr(np.linalg, "solve", spying_solve)
-    monkeypatch.setattr(np.linalg, "inv", spying_inv)
     try:
         assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
-        assert seen == [("inv", 1), ("solve", 1)]
+        assert seen == [("solve", 1), ("solve", 1)]
         assert get() == before
         with pytest.raises(SingularSystemError):
             solve_linear_system([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 1.0])

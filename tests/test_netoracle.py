@@ -377,8 +377,39 @@ class TestBatches:
                     remote.authenticate_score_many("0", probes)
                 first_line_rows = len(json.loads(lines[0])["templates"])
                 assert first_line_rows < 100 < 2 * first_line_rows
-                assert remote.sent_queries == first_line_rows
+                assert remote.sent_queries == 100
         assert served.ledger_snapshot() == local.ledger_snapshot() == (100, {"0": 100})
+
+    def test_locked_answer_carries_the_served_count(self):
+        """A ``LOCKED`` answer says how many rows of the refused line were
+        served; the client's error counts them over its whole batch, as the
+        local oracle's does."""
+        rng = make_rng(8, "lockout")
+        enrolled = rng.standard_normal(DIM)
+        probes = rng.standard_normal((5, DIM))
+        local, served = twin_oracles(Metric.SED, OracleMode.SCORE, enrolled, query_limit=3)
+        with pytest.raises(LockedOutError) as local_info:
+            local.authenticate_score_many("0", probes)
+        assert local_info.value.served == 3
+        with serve(served) as server:
+            with socket.create_connection(server.address) as sock:
+                f = sock.makefile("rwb")
+                for payload, count in (
+                    ({"op": "auth_many", "claim": "0", "templates": probes[:2].tolist()}, None),
+                    ({"op": "auth_many", "claim": "0", "templates": probes[2:].tolist()}, 1),
+                    ({"op": "auth", "claim": "0", "template": probes[0].tolist()}, 0),
+                ):
+                    f.write(WireMessage(payload).to_line())
+                    f.flush()
+                    doc = json.loads(f.readline())
+                    assert doc.get("served") == count
+                    assert (doc.get("error") == "LOCKED") == (count is not None)
+            served.reset_ledger()
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                with pytest.raises(LockedOutError) as remote_info:
+                    remote.authenticate_score_many("0", probes)
+                assert remote_info.value.served == remote.sent_queries == 3
+        assert served.ledger_snapshot() == local.ledger_snapshot() == (3, {"0": 3})
 
     def test_bad_batches(self):
         with serve(make_local(OracleMode.SCORE)) as server:

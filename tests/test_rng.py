@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matchbreak.rng import as_generator, make_rng, random_unit_vector
+from matchbreak.rng import as_generator, make_rng, random_unit_vector, random_unit_vectors
 
 
 def test_same_seed_same_stream():
@@ -78,3 +78,44 @@ def test_random_unit_vector_deterministic():
 def test_random_unit_vector_bad_dim():
     with pytest.raises(ValueError):
         random_unit_vector(make_rng(0), 0)
+
+
+@pytest.mark.parametrize(("dim", "count"), [(1, 4), (7, 9), (512, 3)])
+def test_random_unit_vectors_equal_successive_single_draws(dim, count):
+    """Bit for bit equal to single draws, and to the reference definition:
+    one ``standard_normal(dim)`` per direction over ``np.linalg.norm``."""
+    rows = random_unit_vectors(make_rng(12), dim, count)
+    rng = make_rng(12)
+    assert rows.shape == (count, dim)
+    assert np.array_equal(rows, np.stack([random_unit_vector(rng, dim) for _ in range(count)]))
+    rng = make_rng(12)
+    draws = [rng.standard_normal(dim) for _ in range(count)]
+    assert np.array_equal(rows, np.stack([v / np.linalg.norm(v) for v in draws]))
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(("dim", "count"), [(0, 3), (3, 0), (-1, 1)])
+def test_random_unit_vectors_bad_sizes(dim, count):
+    with pytest.raises(ValueError):
+        random_unit_vectors(make_rng(0), dim, count)
+
+
+def test_random_unit_vectors_redraw_a_zero_row():
+    class ZeroRowFirst:
+        """Hands out a zero first row, then the real stream."""
+
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+            self.first = True
+
+        def standard_normal(self, size):
+            draw = self.rng.standard_normal(size)
+            if self.first:
+                self.first = False
+                draw[0] = 0.0
+            return draw
+
+    rows = random_unit_vectors(ZeroRowFirst(6), 5, 3)
+    # the stub's first draw holds stream rows 0-2; the redraw is stream row 3
+    stream = [row / np.linalg.norm(row) for row in make_rng(6).standard_normal((4, 5))]
+    assert np.array_equal(rows, np.stack([stream[3], stream[1], stream[2]]))
