@@ -28,6 +28,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
+    ATTACK_FAILURES,
+    LockedOutError,
     NoFalseMatchError,
     OracleModeError,
     OutsidePointError,
@@ -54,7 +56,9 @@ class Attack:
     """Base class wiring query accounting and timing around an attack run.
 
     Each subclass is a dataclass of its parameters, and names itself, the
-    oracle mode it attacks and the metric it needs (``None``: either).
+    oracle mode it attacks and the metric it needs (``None``: either). A
+    failure in :data:`ATTACK_FAILURES` leaves ``reconstruct`` carrying the
+    queries the run got answered as ``queries_used``.
     """
 
     name: ClassVar[str]
@@ -73,7 +77,11 @@ class Attack:
         rng = as_generator(seed)
         counted = _CountingOracle(oracle)
         started = time.perf_counter()
-        values, unit, extras = self._run(counted, claim, rng, breaking_set)
+        try:
+            values, unit, extras = self._run(counted, claim, rng, breaking_set)
+        except ATTACK_FAILURES as exc:
+            exc.queries_used = counted.answered
+            raise
         elapsed = time.perf_counter() - started
         params = dataclasses.asdict(self)
         params.update(extras)
@@ -91,7 +99,8 @@ class Attack:
 
 class _CountingOracle:
     """An oracle as one attack run sees it: every call goes to the real
-    oracle, and the probes it answers are counted here."""
+    oracle, and the probes it answers are counted here, including the rows
+    of a batch served before a lockout."""
 
     def __init__(self, oracle):
         self._oracle = oracle
@@ -110,12 +119,17 @@ class _CountingOracle:
         return value
 
     def authenticate_score_many(self, claim, probes):
-        values = self._oracle.authenticate_score_many(claim, probes)
-        self.answered += len(values)
-        return values
+        return self._many(self._oracle.authenticate_score_many, claim, probes)
 
     def authenticate_binary_many(self, claim, probes):
-        values = self._oracle.authenticate_binary_many(claim, probes)
+        return self._many(self._oracle.authenticate_binary_many, claim, probes)
+
+    def _many(self, call, claim, probes):
+        try:
+            values = call(claim, probes)
+        except LockedOutError as exc:
+            self.answered += exc.served
+            raise
         self.answered += len(values)
         return values
 

@@ -221,7 +221,7 @@ def cmd_attack(args) -> int:
         )
     except ATTACK_FAILURES as exc:
         doc.update(error=str(exc), error_type=type(exc).__name__,
-                   queries=oracle.queries, time_s=time.perf_counter() - started)
+                   queries=exc.queries_used, time_s=time.perf_counter() - started)
         _write_json(out_dir / "result.json", doc)
         print(f"attack failed: {exc}", file=sys.stderr)
         return 1

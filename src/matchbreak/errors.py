@@ -77,5 +77,6 @@ class WireProtocolError(MatchbreakError, RuntimeError):
 
 # What an attack run can end with that a harness records as a failed attempt
 # rather than a crash: the attack gave up, its probe geometry stayed
-# singular, or the oracle locked the claimed identity out.
+# singular, or the oracle locked the claimed identity out. Attack.reconstruct
+# sets ``queries_used`` on each one it lets through.
 ATTACK_FAILURES = (AttackFailedError, SingularSystemError, LockedOutError)

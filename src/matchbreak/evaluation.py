@@ -315,7 +315,7 @@ def _run_row(config, model, threshold, fi, ti, ai, attack_params):
     except ATTACK_FAILURES as exc:
         row = ExperimentRow(
             identity=str(ti), attack=name, metric=config.metric, fmr=fmr,
-            loss=None, queries=oracle.queries,
+            loss=None, queries=exc.queries_used,
             time_s=time.perf_counter() - started, passed=False, error=str(exc),
         )
         return row, None

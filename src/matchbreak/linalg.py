@@ -72,7 +72,7 @@ def solve_linear_system(a, b) -> np.ndarray:
     the condition number of ``a`` with each row divided by its largest
     magnitude is above :data:`MAX_CONDITION` (or not finite).
     """
-    a = np.array(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"coefficient matrix must be square and nonempty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -197,7 +197,7 @@ def sphere_center(points, sq_distances=None) -> np.ndarray:
     ``sq_distances`` supplies per-point squared distances; omit it when all
     points share one (unknown) radius.
     """
-    pts = np.array(points, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"points must be a 2-D array, got shape {pts.shape}")
     n, d = pts.shape

@@ -4,28 +4,26 @@ Wire format: one JSON object per line (UTF-8, newline-delimited) in each
 direction. Floats survive the round trip exactly because JSON renders them
 with ``repr``. Requests carry an ``op``:
 
-    {"op": "auth",      "claim": "0", "template": [...]}         -> {"score": s} | {"match": b}
     {"op": "auth_many", "claim": "0", "templates": [[...], ...]} -> {"scores": [...]} | {"matches": [...]}
                                                                     | {"error": "LOCKED", "message": ..., "served": n}
-    {"op": "enroll",    "claim": "x", "template": [...]}         -> {"ok": true}
     {"op": "stats"}                                              -> {"queries": n}
-    {"op": "reset"}                                              -> {"ok": true}
 
-``auth_many`` answers each row as one ``auth`` would, in order. The client
-splits a batch into lines that fit :data:`MAX_REQUEST_BYTES` even when every
-number takes its longest rendering, so one batch may take several round
-trips. Under a query limit the server serves the rows of a line that fit,
-then answers ``LOCKED`` with their number as ``served`` (an ``auth`` gets 0);
-those rows count on its ledger and in the client's ``sent_queries``.
+``auth_many`` answers each row as one authentication, in order; a single
+probe is a one-row line. The client splits a batch into lines that fit
+:data:`MAX_REQUEST_BYTES` even when every number takes its longest
+rendering, so one batch may take several round trips. Under a query limit
+the server serves the rows of a line that fit, then answers ``LOCKED`` with
+their number as ``served``; those rows count on its ledger and in the
+client's ``sent_queries``.
 
 Errors come back as ``{"error": CODE, "message": ...}`` with codes
-``BAD_REQUEST``, ``BAD_DIM``, ``UNKNOWN_IDENTITY``, ``LOCKED`` and
-``ENROLL_DISABLED``; the connection stays open after an error, except after
-a request line longer than :data:`MAX_REQUEST_BYTES`, which the server
-answers with ``BAD_REQUEST`` and then closes the connection. Whether
-``auth`` answers with a score or a decision is the server's choice: the
-enrolled templates and the raw scores of a decision-only oracle never cross
-the wire.
+``BAD_REQUEST``, ``BAD_DIM``, ``UNKNOWN_IDENTITY`` and ``LOCKED``; the
+connection stays open after an error, except after a request line longer
+than :data:`MAX_REQUEST_BYTES`, which the server answers with
+``BAD_REQUEST`` and then closes the connection. Whether ``auth_many``
+answers with scores or decisions is the server's choice: the enrolled
+templates and the raw scores of a decision-only oracle never cross the
+wire.
 """
 
 from __future__ import annotations
@@ -52,9 +50,9 @@ from .rng import make_rng
 from .synth import build_scenario, load_model
 from .validation import as_matrix, as_vector
 
-# Longest request line the server reads, newline included. A d=512 ``auth``
-# line is about 12 KB; the cap keeps one client from making the server
-# buffer an unbounded line.
+# Longest request line the server reads, newline included. A one-row d=512
+# ``auth_many`` line is about 12 KB; the cap keeps one client from making
+# the server buffer an unbounded line.
 MAX_REQUEST_BYTES = 1 << 20
 
 # Longest JSON rendering of a finite float64 (``-2.2250738585072014e-308``)
@@ -75,7 +73,7 @@ class WireMessage:
     def from_line(cls, line: bytes) -> "WireMessage":
         try:
             doc = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed wire line: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError("wire line must be a JSON object")
@@ -111,9 +109,8 @@ class OracleServer:
     number of authentications served across all connections.
     """
 
-    def __init__(self, oracle: MatchingOracle, bind=("127.0.0.1", 0), *, open_enrollment: bool = False):
+    def __init__(self, oracle: MatchingOracle, bind=("127.0.0.1", 0)):
         self.oracle = oracle
-        self.open_enrollment = bool(open_enrollment)
         self._tcp = _ThreadingServer(tuple(bind), _Handler)
         self._tcp.owner = self
         self._thread: threading.Thread | None = None
@@ -153,29 +150,15 @@ class OracleServer:
         payload = message.payload
         op = payload.get("op")
         try:
-            if op == "auth":
-                claim, template = self._auth_args(payload)
-                if self.oracle.mode is OracleMode.SCORE:
-                    return WireMessage({"score": self.oracle.authenticate_score(claim, template)})
-                return WireMessage({"match": self.oracle.authenticate_binary(claim, template)})
             if op == "auth_many":
-                claim, templates = self._auth_args(payload, "templates")
+                claim, templates = self._auth_args(payload)
                 if self.oracle.mode is OracleMode.SCORE:
                     scores = self.oracle.authenticate_score_many(claim, templates)
                     return WireMessage({"scores": scores.tolist()})
                 matches = self.oracle.authenticate_binary_many(claim, templates)
                 return WireMessage({"matches": matches.tolist()})
-            if op == "enroll":
-                if not self.open_enrollment:
-                    return _error("ENROLL_DISABLED", "server does not accept enrollments")
-                claim, template = self._auth_args(payload)
-                self.oracle.enroll(claim, template)
-                return WireMessage({"ok": True})
             if op == "stats":
                 return WireMessage({"queries": self.oracle.queries})
-            if op == "reset":
-                self.oracle.reset_ledger()
-                return WireMessage({"ok": True})
             return _error("BAD_REQUEST", f"unknown op {op!r}")
         except LockedOutError as exc:
             return WireMessage({"error": "LOCKED", "message": str(exc), "served": exc.served})
@@ -187,19 +170,25 @@ class OracleServer:
             return _error("BAD_REQUEST", str(exc))
 
     @staticmethod
-    def _auth_args(payload: dict, key: str = "template") -> tuple[str, list]:
+    def _auth_args(payload: dict) -> tuple[str, list]:
         claim = payload.get("claim")
         if not isinstance(claim, str) or not claim:
             raise ValueError("claim must be a nonempty string")
-        template = payload.get(key)
-        if not isinstance(template, list):
-            raise ValueError(f"{key} must be a list")
-        return claim, template
+        templates = payload.get("templates")
+        if not isinstance(templates, list):
+            raise ValueError("templates must be a list")
+        return claim, templates
 
 
-def serve(oracle: MatchingOracle, bind=("127.0.0.1", 0), *, open_enrollment: bool = False) -> OracleServer:
+def serve(oracle: MatchingOracle, bind=("127.0.0.1", 0)) -> OracleServer:
     """Start serving ``oracle`` in a background thread; returns the handle."""
-    return OracleServer(oracle, bind, open_enrollment=open_enrollment).start()
+    return OracleServer(oracle, bind).start()
+
+
+_CONFIG_KEYS = frozenset({
+    "model", "metric", "mode", "threshold", "fmr", "calibration_pairs", "calibration_seed",
+    "noise_sigma", "noise_seed", "query_limit", "unit_norm", "identities", "host", "port",
+})
 
 
 def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
@@ -209,8 +198,11 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
     ``mode``, and either ``threshold`` or ``fmr`` (+ optional
     ``calibration_pairs``, ``calibration_seed``); optional ``noise_sigma``,
     ``noise_seed``, ``query_limit``, ``unit_norm``, ``identities`` (default:
-    enroll all), ``host``, ``port``, ``open_enrollment``.
+    enroll all), ``host``, ``port``. Any other key is an error.
     """
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown server config keys: {', '.join(unknown)}")
     if "model" not in doc:
         raise ValueError("server config needs a 'model' directory")
     base = Path(base_dir) if base_dir is not None else Path(".")
@@ -231,7 +223,7 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
         unit_norm=bool(doc.get("unit_norm", True)),
     )
     bind = (doc.get("host", "127.0.0.1"), int(doc.get("port", 0)))
-    return OracleServer(oracle, bind, open_enrollment=bool(doc.get("open_enrollment", False)))
+    return OracleServer(oracle, bind)
 
 
 def _parse_address(address) -> tuple[str, int]:
@@ -295,29 +287,11 @@ class RemoteOracle:
             raise WireProtocolError(message, code=code)
         return doc
 
-    def _auth(self, identity: str, probe) -> dict:
-        values = as_vector(probe, name="probe").tolist()
-        doc = self._request({"op": "auth", "claim": identity, "template": values})
-        self.sent_queries += 1
-        return doc
-
     def authenticate_score(self, identity: str, probe) -> float:
-        if self.mode is not OracleMode.SCORE:
-            raise OracleModeError("oracle is in binary mode and does not release scores")
-        doc = self._auth(identity, probe)
-        value = doc.get("score")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise WireProtocolError(f"expected a numeric score, got {value!r}")
-        return float(value)
+        return float(self.authenticate_score_many(identity, as_vector(probe, name="probe")[None, :])[0])
 
     def authenticate_binary(self, identity: str, probe) -> bool:
-        if self.mode is not OracleMode.BINARY:
-            raise OracleModeError("oracle is in score mode; use authenticate_score")
-        doc = self._auth(identity, probe)
-        value = doc.get("match")
-        if not isinstance(value, bool):
-            raise WireProtocolError(f"expected a boolean match, got {value!r}")
-        return value
+        return bool(self.authenticate_binary_many(identity, as_vector(probe, name="probe")[None, :])[0])
 
     def authenticate_score_many(self, identity: str, probes) -> np.ndarray:
         if self.mode is not OracleMode.SCORE:
@@ -341,7 +315,8 @@ class RemoteOracle:
         lockout the rows the server served count in ``sent_queries``, and
         the error's ``served`` counts them over the whole batch."""
         rows = as_matrix(probes, name="probes")
-        head = len(WireMessage({"op": "auth_many", "claim": identity, "templates": []}).to_line())
+        empty = {"op": "auth_many", "claim": identity, "templates": []}
+        head = len(json.dumps(empty, separators=(",", ":"))) + 1  # newline
         row_bytes = rows.shape[1] * _MAX_FLOAT_CHARS + 2  # brackets and separator
         step = max(1, (MAX_REQUEST_BYTES - head) // row_bytes)
         answers = []
@@ -362,10 +337,6 @@ class RemoteOracle:
             answers.extend(values)
         return answers
 
-    def enroll(self, identity: str, template) -> None:
-        values = as_vector(template, name="template").tolist()
-        self._request({"op": "enroll", "claim": identity, "template": values})
-
     @property
     def queries(self) -> int:
         doc = self._request({"op": "stats"})
@@ -373,9 +344,6 @@ class RemoteOracle:
         if not isinstance(value, int) or isinstance(value, bool):
             raise WireProtocolError(f"expected an integer query count, got {value!r}")
         return value
-
-    def reset_ledger(self) -> None:
-        self._request({"op": "reset"})
 
     def close(self) -> None:
         try:

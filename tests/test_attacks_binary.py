@@ -11,6 +11,7 @@ from matchbreak.attacks import (
     find_seed_match,
 )
 from matchbreak.errors import (
+    LockedOutError,
     NoFalseMatchError,
     OracleModeError,
     OutsidePointError,
@@ -264,6 +265,31 @@ class TestBoundarySearchAttack:
         attack = BoundarySearchAttack(dim=16, threshold_estimate=1.0, max_seed_attempts=20)
         with pytest.raises(NoFalseMatchError):
             attack.reconstruct(oracle, "t", seed=0, breaking_set=bs)
+
+    def test_failures_carry_the_queries_used(self, setup16):
+        """A failed run reports the queries it got answered: the seed
+        attempts when the seed search gives up, and the served rows of the
+        refused batch when a lockout lands inside one."""
+        model, threshold = setup16
+        truth = enrollment_template(model, 5)
+        bs = gen_breaking_set(model, 5, 400, seed=12)
+        attack = BoundarySearchAttack(dim=16, threshold_estimate=threshold.value, precision=20,
+                                      max_seed_attempts=1)
+        with pytest.raises(NoFalseMatchError) as info:
+            attack.reconstruct(binary_oracle(truth.values, 1e-6), "t", seed=6, breaking_set=bs)
+        assert info.value.queries_used == 1
+
+        attack = BoundarySearchAttack(dim=16, threshold_estimate=threshold.value, precision=20)
+        seed_attempts = attack.reconstruct(binary_oracle(truth.values, threshold.value), "t",
+                                           seed=6, breaking_set=bs).params["seed_attempts"]
+        limit = seed_attempts + 3 * 17 + 5
+        oracle = MatchingOracle(OracleConfig(metric=Metric.SED, mode=OracleMode.BINARY,
+                                             threshold=threshold, query_limit=limit))
+        oracle.enroll("t", truth.values)
+        with pytest.raises(LockedOutError) as info:
+            attack.reconstruct(oracle, "t", seed=6, breaking_set=bs)
+        assert info.value.served == 5
+        assert info.value.queries_used == oracle.queries == limit
 
     def test_singular_solve_replaces_a_point(self, setup16, monkeypatch):
         model, threshold = setup16

@@ -8,7 +8,7 @@ import pytest
 
 from matchbreak.cli import main
 from matchbreak.matcher import Metric, OracleMode
-from matchbreak.netoracle import remote_oracle
+from matchbreak.netoracle import remote_oracle, server_from_config
 from matchbreak.synth import enrollment_template, load_model
 from matchbreak.templates import read_template
 
@@ -112,6 +112,25 @@ class TestAttack:
         assert doc["error_type"] == "LockedOutError"
         assert doc["queries"] == 50
         assert not (out / "recovered.tpl").exists()
+
+    def test_failed_remote_attack_reports_its_own_queries(self, model_dir, tmp_path):
+        """A failed attack over the wire reports the queries it got answered,
+        not the server's total over every client."""
+        doc = {"model": str(model_dir), "mode": "binary", "threshold": 1e-6, "identities": [0]}
+        out = tmp_path / "run"
+        with server_from_config(doc) as server:
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as other:
+                for _ in range(25):
+                    other.authenticate_binary("0", np.zeros(16))
+            host, port = server.address
+            code = run_cli("attack", "--name", "binary-ours", "--model", model_dir,
+                           "--target", 0, "--out", out, "--fmr", 0.05, "--pairs", 20000,
+                           "--remote", f"{host}:{port}", "--max-seed-attempts", 1)
+            assert server.oracle.queries == 26
+        assert code == 1
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["error_type"] == "NoFalseMatchError"
+        assert doc["queries"] == 1
 
     def test_unknown_attack_name_is_usage_error(self, model_dir, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -10,7 +10,6 @@ from matchbreak.errors import (
     LockedOutError,
     OracleModeError,
     UnknownIdentityError,
-    WireProtocolError,
 )
 from matchbreak.attacks import BoundarySearchAttack
 from matchbreak.matcher import (
@@ -23,7 +22,6 @@ from matchbreak.matcher import (
 )
 from matchbreak.netoracle import (
     MAX_REQUEST_BYTES,
-    OracleServer,
     RemoteOracle,
     WireMessage,
     _parse_address,
@@ -72,8 +70,9 @@ class TestWireMessage:
     def test_rejects_non_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             WireMessage.from_line(b"[1, 2]\n")
-        with pytest.raises(ValueError, match="malformed"):
-            WireMessage.from_line(b"{nope\n")
+        for line in (b"{nope\n", b"[" * 200_000 + b"\n"):
+            with pytest.raises(ValueError, match="malformed"):
+                WireMessage.from_line(line)
 
 
 class TestScoreTransport:
@@ -94,23 +93,10 @@ class TestScoreTransport:
             with socket.create_connection(server.address) as sock:
                 f = sock.makefile("rwb")
                 probe = enrollment_template(make_model(), 0).values.tolist()
-                f.write(WireMessage({"op": "auth", "claim": "0", "template": probe}).to_line())
+                f.write(WireMessage({"op": "auth_many", "claim": "0", "templates": [probe]}).to_line())
                 f.flush()
                 doc = json.loads(f.readline())
-        assert doc == {"match": True}
-
-    def test_stats_and_reset(self):
-        local = make_local(OracleMode.SCORE)
-        with serve(local) as server:
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
-                assert remote.queries == 0
-                remote.authenticate_score("0", np.zeros(DIM))
-                remote.authenticate_score("0", np.zeros(DIM))
-                assert remote.queries == 2
-                assert local.queries == 2
-                remote.reset_ledger()
-                assert remote.queries == 0
-        assert local.queries == 0
+        assert doc == {"matches": [True]}
 
 
 class TestErrorCodes:
@@ -139,6 +125,48 @@ class TestErrorCodes:
                 with pytest.raises(LockedOutError):
                     remote.authenticate_score("0", np.zeros(DIM))
                 assert remote.queries == 3
+
+    def test_removed_ops_are_unknown_and_leave_the_ledger(self):
+        """The wire carries ``auth_many`` and ``stats`` only: ``auth``,
+        ``enroll`` and ``reset`` are unknown ops, on a connection that stays
+        open, and neither enroll nor touch the ledger."""
+        local = make_local(OracleMode.SCORE)
+        probe = np.zeros(DIM).tolist()
+        with serve(local) as server:
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                assert remote.queries == 0
+                remote.authenticate_score("0", probe)
+                remote.authenticate_score("0", probe)
+                assert remote.queries == 2
+            with socket.create_connection(server.address) as sock:
+                f = sock.makefile("rwb")
+                for payload in (
+                    {"op": "auth", "claim": "0", "template": probe},
+                    {"op": "enroll", "claim": "fresh", "template": probe},
+                    {"op": "reset"},
+                ):
+                    f.write(WireMessage(payload).to_line())
+                    f.flush()
+                    doc = json.loads(f.readline())
+                    assert doc["error"] == "BAD_REQUEST"
+                    assert f"unknown op {payload['op']!r}" in doc["message"]
+                f.write(WireMessage({"op": "stats"}).to_line())
+                f.flush()
+                assert json.loads(f.readline()) == {"queries": 2}
+        assert local.ledger_snapshot() == (2, {"0": 2})
+        assert "fresh" not in local.enrolled_identities
+
+    def test_deeply_nested_line_keeps_connection_usable(self, score_server):
+        with socket.create_connection(score_server.address, timeout=10.0) as sock:
+            f = sock.makefile("rwb")
+            f.write(b"[" * 200_000 + b"\n")
+            f.flush()
+            doc = json.loads(f.readline())
+            assert doc["error"] == "BAD_REQUEST"
+            assert "malformed" in doc["message"]
+            f.write(WireMessage({"op": "stats"}).to_line())
+            f.flush()
+            assert json.loads(f.readline()) == {"queries": 0}
 
     def test_malformed_line_keeps_connection_usable(self, score_server):
         with socket.create_connection(score_server.address) as sock:
@@ -180,36 +208,20 @@ class TestErrorCodes:
         with socket.create_connection(score_server.address) as sock:
             f = sock.makefile("rwb")
             for payload in (
-                {"op": "auth"},
-                {"op": "auth", "claim": "", "template": [0.0]},
-                {"op": "auth", "claim": "0", "template": "zeros"},
-                {"op": "auth", "claim": "0", "template": [0.0, None]},
+                {"op": "auth_many"},
+                {"op": "auth_many", "claim": "", "templates": [[0.0]]},
+                {"op": "auth_many", "claim": 0, "templates": [[0.0] * DIM]},
+                {"op": "auth_many", "claim": "0", "templates": "zeros"},
+                {"op": "auth_many", "claim": "0", "templates": [[0.0] * (DIM - 1) + [None]]},
             ):
                 f.write(WireMessage(payload).to_line())
                 f.flush()
                 assert json.loads(f.readline())["error"] == "BAD_REQUEST"
 
-    def test_enrollment_disabled_by_default(self, score_server):
-        with remote_oracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
-            with pytest.raises(WireProtocolError) as info:
-                remote.enroll("new", np.ones(DIM))
-            assert info.value.code == "ENROLL_DISABLED"
-
     def test_client_mode_guard_without_round_trip(self, score_server):
         with remote_oracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
             with pytest.raises(OracleModeError):
                 remote.authenticate_binary("0", np.zeros(DIM))
-
-
-class TestEnrollment:
-    def test_open_enrollment_flow(self):
-        oracle = MatchingOracle(OracleConfig(metric=Metric.SED, mode=OracleMode.SCORE))
-        with OracleServer(oracle, open_enrollment=True).start() as server:
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
-                template = np.arange(1.0, DIM + 1.0)
-                remote.enroll("fresh", template)
-                assert remote.authenticate_score("fresh", template) == 0.0
-        assert "fresh" in oracle.enrolled_identities
 
 
 class TestConcurrency:
@@ -295,6 +307,11 @@ class TestServerFromConfig:
     def test_missing_model_key(self):
         with pytest.raises(ValueError, match="model"):
             server_from_config({"mode": "score"})
+
+    def test_unknown_keys_are_refused(self, model_dir):
+        doc = {"model": "model", "mode": "score", "query_limt": 5, "open_enrollment": True}
+        with pytest.raises(ValueError, match="unknown server config keys: open_enrollment, query_limt"):
+            server_from_config(doc, base_dir=model_dir)
 
 
 def recording(server):
@@ -397,7 +414,7 @@ class TestBatches:
                 for payload, count in (
                     ({"op": "auth_many", "claim": "0", "templates": probes[:2].tolist()}, None),
                     ({"op": "auth_many", "claim": "0", "templates": probes[2:].tolist()}, 1),
-                    ({"op": "auth", "claim": "0", "template": probes[0].tolist()}, 0),
+                    ({"op": "auth_many", "claim": "0", "templates": probes[:1].tolist()}, 0),
                 ):
                     f.write(WireMessage(payload).to_line())
                     f.flush()
@@ -462,4 +479,4 @@ class TestBatches:
         x = result.params
         assert result.queries_used == x["seed_attempts"] + 20 * (17 + x["boundary_redraws"] + x["solve_resamples"])
         assert oracle.queries > result.queries_used
-        assert not any(json.loads(line)["op"] == "stats" for line in lines)
+        assert lines and all(json.loads(line)["op"] == "auth_many" for line in lines)
