@@ -55,6 +55,13 @@ def make_local(mode, metric=Metric.SED, threshold=None, query_limit=None):
     return oracle
 
 
+def ask(f, payload):
+    """Send one request line on a raw connection and read its answer."""
+    f.write(WireMessage(payload).to_line())
+    f.flush()
+    return json.loads(f.readline())
+
+
 class TestWireMessage:
     def test_float_survives_exactly(self):
         value = 0.1 + 0.2  # not representable in short decimal
@@ -98,6 +105,23 @@ class TestScoreTransport:
                 doc = json.loads(f.readline())
         assert doc == {"matches": [True]}
 
+    def test_stats_and_reset(self):
+        """``stats`` reads the server's ledger; ``reset`` is not a wire op, so
+        a client cannot wipe the count it is held to."""
+        local = make_local(OracleMode.SCORE)
+        with serve(local) as server:
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                assert remote.queries == 0
+                remote.authenticate_score("0", np.zeros(DIM))
+                remote.authenticate_score("0", np.zeros(DIM))
+                assert remote.queries == 2
+                assert local.queries == 2
+            with socket.create_connection(server.address) as sock:
+                f = sock.makefile("rwb")
+                assert ask(f, {"op": "reset"}) == {"error": "BAD_REQUEST", "message": "unknown op 'reset'"}
+                assert ask(f, {"op": "stats"}) == {"queries": 2}
+        assert local.ledger_snapshot() == (2, {"0": 2})
+
 
 class TestErrorCodes:
     @pytest.fixture()
@@ -125,36 +149,6 @@ class TestErrorCodes:
                 with pytest.raises(LockedOutError):
                     remote.authenticate_score("0", np.zeros(DIM))
                 assert remote.queries == 3
-
-    def test_removed_ops_are_unknown_and_leave_the_ledger(self):
-        """The wire carries ``auth_many`` and ``stats`` only: ``auth``,
-        ``enroll`` and ``reset`` are unknown ops, on a connection that stays
-        open, and neither enroll nor touch the ledger."""
-        local = make_local(OracleMode.SCORE)
-        probe = np.zeros(DIM).tolist()
-        with serve(local) as server:
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
-                assert remote.queries == 0
-                remote.authenticate_score("0", probe)
-                remote.authenticate_score("0", probe)
-                assert remote.queries == 2
-            with socket.create_connection(server.address) as sock:
-                f = sock.makefile("rwb")
-                for payload in (
-                    {"op": "auth", "claim": "0", "template": probe},
-                    {"op": "enroll", "claim": "fresh", "template": probe},
-                    {"op": "reset"},
-                ):
-                    f.write(WireMessage(payload).to_line())
-                    f.flush()
-                    doc = json.loads(f.readline())
-                    assert doc["error"] == "BAD_REQUEST"
-                    assert f"unknown op {payload['op']!r}" in doc["message"]
-                f.write(WireMessage({"op": "stats"}).to_line())
-                f.flush()
-                assert json.loads(f.readline()) == {"queries": 2}
-        assert local.ledger_snapshot() == (2, {"0": 2})
-        assert "fresh" not in local.enrolled_identities
 
     def test_deeply_nested_line_keeps_connection_usable(self, score_server):
         with socket.create_connection(score_server.address, timeout=10.0) as sock:
@@ -196,13 +190,24 @@ class TestErrorCodes:
             assert remote.authenticate_score("0", probe) == 0.0
 
     def test_unknown_op(self, score_server):
+        """Single-template ``auth`` is gone too: every query is ``auth_many``."""
         with socket.create_connection(score_server.address) as sock:
             f = sock.makefile("rwb")
-            f.write(WireMessage({"op": "shutdown"}).to_line())
-            f.flush()
-            doc = json.loads(f.readline())
-        assert doc["error"] == "BAD_REQUEST"
-        assert "shutdown" in doc["message"]
+            for payload in ({"op": "shutdown"}, {"op": "auth", "claim": "0", "template": [0.0] * DIM}):
+                doc = ask(f, payload)
+                assert doc["error"] == "BAD_REQUEST"
+                assert f"unknown op {payload['op']!r}" in doc["message"]
+        assert score_server.oracle.queries == 0
+
+    def test_enrollment_disabled_by_default(self, score_server):
+        """``enroll`` is not a wire op: it is refused on a connection that
+        stays open, and enrolls nothing."""
+        with socket.create_connection(score_server.address) as sock:
+            f = sock.makefile("rwb")
+            doc = ask(f, {"op": "enroll", "claim": "fresh", "template": [1.0] * DIM})
+            assert doc == {"error": "BAD_REQUEST", "message": "unknown op 'enroll'"}
+            assert ask(f, {"op": "stats"}) == {"queries": 0}
+        assert "fresh" not in score_server.oracle.enrolled_identities
 
     def test_bad_claim_and_template_types(self, score_server):
         with socket.create_connection(score_server.address) as sock:
@@ -222,6 +227,25 @@ class TestErrorCodes:
         with remote_oracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
             with pytest.raises(OracleModeError):
                 remote.authenticate_binary("0", np.zeros(DIM))
+
+
+class TestEnrollment:
+    def test_open_enrollment_flow(self):
+        """Enrollment happens on the server's side only: a served oracle
+        answers for an identity once it is enrolled in-process, never
+        through the wire."""
+        oracle = MatchingOracle(OracleConfig(metric=Metric.SED, mode=OracleMode.SCORE))
+        template = np.arange(1.0, DIM + 1.0)
+        with serve(oracle) as server:
+            with socket.create_connection(server.address) as sock:
+                f = sock.makefile("rwb")
+                assert ask(f, {"op": "enroll", "claim": "fresh", "template": template.tolist()})["error"] == "BAD_REQUEST"
+            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                with pytest.raises(UnknownIdentityError):
+                    remote.authenticate_score("fresh", template)
+                oracle.enroll("fresh", template)
+                assert remote.authenticate_score("fresh", template) == 0.0
+        assert oracle.enrolled_identities == ("fresh",)
 
 
 class TestConcurrency:
