@@ -287,12 +287,11 @@ class AcceptAverageAttack(Attack):
     def _run(self, oracle, claim, rng, breaking_set):
         if breaking_set is None:
             raise ValueError(f"{self.name} requires a breaking set")
-        members = breaking_set.members if self.budget is None else breaking_set.members[: self.budget]
-        stacked = np.stack([member.values for _, member in members])
-        accepted = np.flatnonzero(oracle.authenticate_binary_many(claim, stacked))
+        probes = breaking_set.values[: self.budget]
+        accepted = np.flatnonzero(oracle.authenticate_binary_many(claim, probes))
         if not accepted.size:
-            raise NoFalseMatchError("no false match found in the breaking set", attempts=len(members))
-        return stacked[accepted].mean(axis=0), False, {"accepted_indices": accepted.tolist()}
+            raise NoFalseMatchError("no false match found in the breaking set", attempts=len(probes))
+        return probes[accepted].mean(axis=0), False, {"accepted_indices": accepted.tolist()}
 
 
 def find_seed_match(
@@ -302,20 +301,18 @@ def find_seed_match(
     *,
     max_attempts: int | None = None,
 ) -> tuple[Template, int]:
-    """Probe breaking-set members in order until one is accepted.
+    """Probe breaking-set rows in order until one is accepted.
 
-    Returns the accepted member and the number of queries spent (the accepted
-    probe included). Raises :class:`NoFalseMatchError` when the budget or the
-    set runs out first.
+    Returns the accepted row as a template and the number of queries spent
+    (the accepted probe included). Raises :class:`NoFalseMatchError` when
+    the budget or the set runs out first.
     """
     _require(oracle, OracleMode.BINARY, None, "find_seed_match")
-    members = breaking_set.members if max_attempts is None else breaking_set.members[:max_attempts]
-    for i, (_, member) in enumerate(members):
-        if oracle.authenticate_binary(claim, member.values):
-            return member, i + 1
-    raise NoFalseMatchError(
-        f"no false match found in {len(members)} attempts", attempts=len(members)
-    )
+    rows = breaking_set.values[:max_attempts]
+    for i, row in enumerate(rows):
+        if oracle.authenticate_binary(claim, row):
+            return Template(row, unit=breaking_set.unit), i + 1
+    raise NoFalseMatchError(f"no false match found in {len(rows)} attempts", attempts=len(rows))
 
 
 def boundary_point(

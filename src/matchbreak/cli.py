@@ -199,8 +199,6 @@ def cmd_attack(args) -> int:
     )
     threshold = oracle.threshold
     truth = enrollment_template(model, args.target, unit_norm=args.unit_norm)
-    if args.remote:
-        oracle = RemoteOracle(args.remote, metric=metric, mode=attack_cls.mode)
     attack = make_attack(args.name, dim=model.dim, threshold=threshold.value, **_attack_params(args))
 
     out_dir = Path(args.out)
@@ -212,6 +210,8 @@ def cmd_attack(args) -> int:
         "fmr": args.fmr,
         "threshold": threshold.value,
     }
+    if args.remote:
+        oracle = RemoteOracle(args.remote, metric=metric, mode=attack_cls.mode)
     started = time.perf_counter()
     try:
         result = attack.reconstruct(
@@ -225,6 +225,9 @@ def cmd_attack(args) -> int:
         _write_json(out_dir / "result.json", doc)
         print(f"attack failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if args.remote:
+            oracle.close()
 
     loss = reconstruction_loss(result.recovered.values, truth.values, metric)
     passed = passes_system(result.recovered.values, truth.values, threshold)

@@ -247,7 +247,7 @@ def _convergence_points(breaking_set, accepted_indices, truth, metric) -> tuple:
     points = []
     running = None
     for count, idx in enumerate(accepted_indices, start=1):
-        values = breaking_set.members[idx][1].values
+        values = breaking_set.values[idx]
         running = values.copy() if running is None else running + values
         points.append((idx + 1, count, reconstruction_loss(running / count, truth, metric)))
     return tuple(points)
@@ -390,25 +390,28 @@ def load_report(path) -> ExperimentReport:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != _REPORT_FORMAT:
         raise ValueError(f"unsupported report format {doc.get('format')!r}")
-    config = ExperimentConfig.from_dict(doc["config"])
-    rows = tuple(
-        ExperimentRow(
-            identity=r["identity"], attack=r["attack"], metric=Metric(r["metric"]),
-            fmr=r["fmr"], loss=r["loss"], queries=r["queries"], time_s=r["time_s"],
-            passed=r["passed"], error=r.get("error"),
+    try:
+        config = ExperimentConfig.from_dict(doc["config"])
+        rows = tuple(
+            ExperimentRow(
+                identity=r["identity"], attack=r["attack"], metric=Metric(r["metric"]),
+                fmr=r["fmr"], loss=r["loss"], queries=r["queries"], time_s=r["time_s"],
+                passed=r["passed"], error=r.get("error"),
+            )
+            for r in doc["rows"]
         )
-        for r in doc["rows"]
-    )
-    curves = tuple(
-        ConvergenceCurve(
-            identity=c["identity"], fmr=c["fmr"],
-            points=tuple(tuple(p) for p in c["points"]),
+        curves = tuple(
+            ConvergenceCurve(
+                identity=c["identity"], fmr=c["fmr"],
+                points=tuple(tuple(p) for p in c["points"]),
+            )
+            for c in doc.get("baseline_curves", ())
         )
-        for c in doc.get("baseline_curves", ())
-    )
-    stored = tuple(
-        AggregateStats(**agg) for agg in doc["aggregates"]
-    )
+        stored = tuple(
+            AggregateStats(**agg) for agg in doc["aggregates"]
+        )
+    except KeyError as exc:
+        raise ValueError(f"report {path} is missing key {exc.args[0]!r}") from exc
     recomputed = compute_aggregates(rows)
     if _aggregates_differ(stored, recomputed):
         raise ValueError("aggregates in the report do not match its rows")

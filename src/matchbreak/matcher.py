@@ -78,21 +78,6 @@ def score(metric: Metric, a, b) -> float:
 
 
 @dataclass(frozen=True)
-class MatchScore:
-    """A raw comparison score tagged with the metric that produced it."""
-
-    value: float
-    metric: Metric
-
-    def __post_init__(self):
-        value = float(self.value)
-        if not math.isfinite(value):
-            raise ValueError(f"score must be finite, got {value}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "metric", Metric(self.metric))
-
-
-@dataclass(frozen=True)
 class Threshold:
     """An accept/reject cut. Equality counts as acceptance for both metrics."""
 
@@ -127,16 +112,19 @@ class CalibrationResult:
     sample_size: int
 
 
-def calibrate_threshold(scores, target_fmr: float, metric: Metric | str | None = None) -> CalibrationResult:
-    """Pick the most permissive threshold whose false-match rate on the given
-    impostor sample does not exceed ``target_fmr``.
+def calibrate_threshold(scores, target_fmr: float, metric: Metric | str) -> CalibrationResult:
+    """Pick the most permissive threshold whose false-match rate on the
+    impostor sample ``scores``, one 1-D array of ``metric`` scores, does not
+    exceed ``target_fmr``.
 
     Because equality accepts, a group of tied scores is either accepted whole
     or excluded whole; when including a tied group would overshoot the target,
-    the whole group is excluded. ``metric`` is required when ``scores`` are
-    raw floats rather than :class:`MatchScore` values.
+    the whole group is excluded.
     """
-    values, metric = _collect_scores(scores, metric)
+    if metric is None:
+        raise ValueError("metric is required to calibrate a score sample")
+    metric = Metric(metric)
+    values = as_vector(scores, name="calibration sample")
     target_fmr = check_probability(target_fmr, "target_fmr")
     n = values.size
     if n * target_fmr < 1.0:
@@ -164,29 +152,6 @@ def calibrate_threshold(scores, target_fmr: float, metric: Metric | str | None =
     except ValueError as exc:
         raise ValueError(f"cannot calibrate a valid {metric.value} threshold: {exc}") from exc
     return CalibrationResult(threshold, achieved_fmr=k / n, sample_size=n)
-
-
-def _collect_scores(scores, metric) -> tuple[np.ndarray, Metric]:
-    values = []
-    metrics = set()
-    for s in scores:
-        if isinstance(s, MatchScore):
-            values.append(s.value)
-            metrics.add(s.metric)
-        else:
-            values.append(float(s))
-    if not values:
-        raise ValueError("empty calibration sample")
-    if metric is not None:
-        metrics.add(Metric(metric))
-    if not metrics:
-        raise ValueError("metric is required when calibrating raw scores")
-    if len(metrics) > 1:
-        raise ValueError(f"mixed metrics in calibration sample: {sorted(m.value for m in metrics)}")
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("calibration sample contains non-finite scores")
-    return arr, metrics.pop()
 
 
 @dataclass(frozen=True)

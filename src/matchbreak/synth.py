@@ -153,27 +153,26 @@ def enrollment_template(model: IdentityModel, identity, *, unit_norm: bool = Tru
     return sample_template(model, idx, unit_norm=unit_norm, seed=make_rng(model.seed, "enroll", idx))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BreakingSet:
-    """Samples of non-target identities, probed in order by decision attacks."""
+    """Samples of non-target identities, probed in order by decision attacks.
 
-    members: tuple[tuple[int, Template], ...]
-    model: IdentityModel
+    Row ``i`` of the read-only ``(n, d)`` array ``values`` is a sample of
+    identity ``labels[i]``; ``unit`` says whether the rows are unit-norm.
+    """
+
+    labels: np.ndarray
+    values: np.ndarray
+    unit: bool
     excluded: int
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(label for label, _ in self.members)
+        return len(self.labels)
 
     @property
     def templates(self) -> tuple[Template, ...]:
-        return tuple(t for _, t in self.members)
+        """The rows as templates, built on each call."""
+        return tuple(Template(row, unit=self.unit) for row in self.values)
 
 
 def gen_breaking_set(
@@ -187,10 +186,10 @@ def gen_breaking_set(
     """Draw ``size`` samples cycling round-robin over all non-target identities."""
     idx = _identity_index(model, exclude_identity)
     check_count(size, "size", minimum=1)
-    others = [i for i in range(model.num_identities) if i != idx]
-    if not others:
+    others = np.delete(np.arange(model.num_identities, dtype=np.intp), idx)
+    if not others.size:
         raise ValueError("breaking set needs at least one identity besides the target")
-    labels = np.array([others[j % len(others)] for j in range(size)], dtype=np.intp)
+    labels = others[np.arange(size) % len(others)]
 
     rng = as_generator(seed)
     values = model.centers[labels] + model.within_noise_sigma * rng.standard_normal((size, model.dim))
@@ -199,10 +198,9 @@ def gen_breaking_set(
         if np.any(norms == 0.0):
             raise RuntimeError("degenerate sample draw")  # probability zero
         values = values / norms
-    members = tuple(
-        (int(label), Template(row, unit=unit_norm)) for label, row in zip(labels, values)
-    )
-    return BreakingSet(members=members, model=model, excluded=idx)
+    labels.setflags(write=False)
+    values.setflags(write=False)
+    return BreakingSet(labels=labels, values=values, unit=bool(unit_norm), excluded=idx)
 
 
 def _pair_scores(
@@ -368,11 +366,14 @@ def load_model(directory) -> IdentityModel:
     if manifest.get("format") != _MODEL_FORMAT:
         raise ValueError(f"unsupported model format {manifest.get('format')!r}")
     centers = np.load(directory / "centers.npy")
-    return IdentityModel(
-        dim=int(manifest["dim"]),
-        num_identities=int(manifest["num_identities"]),
-        centers=centers,
-        within_noise_sigma=float(manifest["within_noise_sigma"]),
-        center_concentration=float(manifest["center_concentration"]),
-        seed=int(manifest["seed"]),
-    )
+    try:
+        return IdentityModel(
+            dim=int(manifest["dim"]),
+            num_identities=int(manifest["num_identities"]),
+            centers=centers,
+            within_noise_sigma=float(manifest["within_noise_sigma"]),
+            center_concentration=float(manifest["center_concentration"]),
+            seed=int(manifest["seed"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"model manifest {manifest_path} is missing key {exc.args[0]!r}") from exc

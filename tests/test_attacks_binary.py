@@ -26,6 +26,7 @@ from matchbreak.matcher import (
     sed_score,
 )
 from matchbreak.rng import make_rng, random_unit_vector
+from matchbreak.templates import Template
 from matchbreak.synth import enrollment_template, gen_breaking_set, gen_identity_model, impostor_scores
 from matchbreak.matcher import calibrate_threshold
 
@@ -57,8 +58,7 @@ class TestAcceptAverage:
         result = AcceptAverageAttack().reconstruct(oracle, "t", seed=0, breaking_set=bs)
 
         # second, direct route: recompute the accepted subset by hand
-        accepted = [m.values for _, m in bs
-                    if sed_score(m.values, truth.values) <= threshold.value]
+        accepted = [row for row in bs.values if sed_score(row, truth.values) <= threshold.value]
         assert len(accepted) == len(result.params["accepted_indices"])
         assert np.allclose(result.recovered.values, np.mean(accepted, axis=0), atol=1e-15)
         assert result.queries_used == 400
@@ -67,14 +67,31 @@ class TestAcceptAverage:
         model, threshold = setup16
         truth = enrollment_template(model, 1)
         bs = gen_breaking_set(model, 1, 400, seed=8)
-        accepted = [i for i, (_, m) in enumerate(bs.members)
-                    if sed_score(m.values, truth.values) <= threshold.value]
+        accepted = [i for i, row in enumerate(bs.values)
+                    if sed_score(row, truth.values) <= threshold.value]
         budget = accepted[0] + 1  # stop right after the first acceptance
         oracle = binary_oracle(truth.values, threshold.value)
         result = AcceptAverageAttack(budget=budget).reconstruct(oracle, "t", seed=0, breaking_set=bs)
         assert result.params["accepted_indices"] == [accepted[0]]
-        assert np.array_equal(result.recovered.values, bs.members[accepted[0]][1].values)
+        assert np.array_equal(result.recovered.values, bs.values[accepted[0]])
         assert result.queries_used == budget
+
+    def test_budget_probes_the_first_rows(self, setup16, monkeypatch):
+        model, threshold = setup16
+        truth = enrollment_template(model, 1)
+        bs = gen_breaking_set(model, 1, 400, seed=8)
+        oracle = binary_oracle(truth.values, threshold.value)
+        sent = []
+        answer = oracle.authenticate_binary_many
+
+        def recording(claim, probes):
+            sent.append(np.array(probes))
+            return answer(claim, probes)
+
+        monkeypatch.setattr(oracle, "authenticate_binary_many", recording)
+        result = AcceptAverageAttack(budget=150).reconstruct(oracle, "t", seed=0, breaking_set=bs)
+        assert len(sent) == 1 and np.array_equal(sent[0], bs.values[:150])
+        assert result.queries_used == oracle.queries == 150
 
     def test_no_false_match(self, setup16):
         model, _ = setup16
@@ -99,14 +116,25 @@ class TestFindSeedMatch:
         truth = enrollment_template(model, 3)
         bs = gen_breaking_set(model, 3, 400, seed=10)
         expected = next(
-            (i, m) for i, (_, m) in enumerate(bs.members)
-            if sed_score(m.values, truth.values) <= threshold.value
+            i for i, row in enumerate(bs.values)
+            if sed_score(row, truth.values) <= threshold.value
         )
         oracle = binary_oracle(truth.values, threshold.value)
         member, attempts = find_seed_match(oracle, "t", bs)
-        assert attempts == expected[0] + 1
-        assert member == expected[1]
+        assert attempts == expected + 1
+        assert np.array_equal(member.values, bs.values[expected])
         assert oracle.queries == attempts
+
+    def test_returns_a_template_of_the_row_with_the_set_unit_flag(self, setup16):
+        model, _ = setup16
+        truth = enrollment_template(model, 3)
+        for unit_norm in (True, False):
+            bs = gen_breaking_set(model, 3, 400, unit_norm=unit_norm, seed=10)
+            oracle = binary_oracle(truth.values, 1e6)  # the first row is accepted
+            member, attempts = find_seed_match(oracle, "t", bs)
+            assert attempts == 1
+            assert isinstance(member, Template)
+            assert member == Template(bs.values[0], unit=unit_norm)
 
     def test_budget_exhaustion(self, setup16):
         model, _ = setup16

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -60,6 +61,16 @@ class TestCalibrate:
     def test_missing_model_is_runtime_error(self, tmp_path, capsys):
         assert run_cli("calibrate", "--model", tmp_path / "nope", "--fmr", 0.01) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_manifest_without_dim_names_the_key(self, model_dir, tmp_path, capsys):
+        broken = tmp_path / "model"
+        shutil.copytree(model_dir, broken)
+        manifest = json.loads((broken / "model.json").read_text())
+        del manifest["dim"]
+        (broken / "model.json").write_text(json.dumps(manifest))
+        assert run_cli("calibrate", "--model", broken, "--fmr", 0.01) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'dim'" in err and "Traceback" not in err
 
 
 class TestAttack:
@@ -199,6 +210,13 @@ class TestExperimentAndReport:
         assert run_cli("report", "--in", out / "report.json") == 1
         assert "aggregates" in capsys.readouterr().err
 
+    def test_report_without_rows_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "matchbreak-report-v1", "config": {}, "aggregates": []}))
+        assert run_cli("report", "--in", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'rows'" in err and "Traceback" not in err
+
     def test_seed_override_changes_fingerprint(self, config_path, tmp_path, capsys):
         run_cli("experiment", "--config", config_path, "--out", tmp_path / "a")
         base = self.fingerprint_from(capsys.readouterr().out)
@@ -232,4 +250,4 @@ class TestServe:
                 assert remote.queries == 1
         finally:
             proc.terminate()
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)

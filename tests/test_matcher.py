@@ -14,7 +14,6 @@ from matchbreak.errors import (
     UnknownIdentityError,
 )
 from matchbreak.matcher import (
-    MatchScore,
     MatchingOracle,
     Metric,
     OracleConfig,
@@ -105,11 +104,6 @@ class TestThreshold:
             Threshold(-1.0, Metric.COSINE)
 
 
-def test_match_score_requires_finite():
-    with pytest.raises(ValueError):
-        MatchScore(float("inf"), Metric.SED)
-
-
 class TestCalibration:
     def count_accepts(self, scores, threshold):
         return sum(1 for s in scores if threshold.accepts(s))
@@ -152,17 +146,6 @@ class TestCalibration:
         assert result.threshold.value == 1.0
         assert self.count_accepts(scores, result.threshold) == 2
 
-    def test_match_score_inputs(self):
-        scores = [MatchScore(float(i), Metric.SED) for i in range(1, 51)]
-        result = calibrate_threshold(scores, 0.02, None)
-        assert result.threshold.metric is Metric.SED
-        assert result.threshold.value == 1.0
-
-    def test_mixed_metrics_rejected(self):
-        scores = [MatchScore(0.5, Metric.SED), MatchScore(0.5, Metric.COSINE)]
-        with pytest.raises(ValueError, match="mixed"):
-            calibrate_threshold(scores, 0.1, None)
-
     def test_metric_required_for_raw_scores(self):
         with pytest.raises(ValueError, match="metric"):
             calibrate_threshold([1.0, 2.0], 0.1, None)
@@ -170,6 +153,12 @@ class TestCalibration:
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="empty"):
             calibrate_threshold([], 0.1, Metric.SED)
+
+    def test_sample_must_be_one_finite_vector(self):
+        with pytest.raises(ValueError, match="1-D"):
+            calibrate_threshold(np.ones((10, 2)), 0.1, Metric.SED)
+        with pytest.raises(ValueError, match="non-finite"):
+            calibrate_threshold([1.0, float("inf"), 2.0], 0.1, Metric.SED)
 
     def test_small_sample_warns(self):
         with pytest.warns(UserWarning, match="cannot resolve"):

@@ -115,21 +115,37 @@ class TestBreakingSet:
     def test_round_robin_labels(self, model):
         bs = gen_breaking_set(model, 0, 40, seed=2)
         others = [i for i in range(model.num_identities) if i != 0]
-        expected = tuple(others[j % len(others)] for j in range(40))
-        assert bs.labels == expected
+        expected = [others[j % len(others)] for j in range(40)]
+        assert bs.labels.dtype == np.intp
+        assert bs.labels.tolist() == expected
 
     def test_members_are_fresh_samples(self, model):
         bs = gen_breaking_set(model, 0, 25, seed=2)
         # two members of the same identity differ (independent noise draws)
-        first = bs.members[0][1]
-        again = bs.members[19][1]
-        assert bs.members[0][0] == bs.members[19][0]
-        assert first != again
+        assert bs.values.shape == (25, model.dim)
+        assert bs.labels[0] == bs.labels[19]
+        assert not np.array_equal(bs.values[0], bs.values[19])
 
     def test_deterministic(self, model):
         a = gen_breaking_set(model, 1, 10, seed=33)
         b = gen_breaking_set(model, 1, 10, seed=33)
-        assert a.members == b.members
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.values, b.values)
+        assert a.unit == b.unit
+
+    def test_arrays_are_read_only(self, model):
+        bs = gen_breaking_set(model, 1, 10, seed=33)
+        with pytest.raises(ValueError, match="read-only"):
+            bs.values[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            bs.labels[0] = 1
+
+    def test_templates_are_the_rows(self, model):
+        for unit_norm in (True, False):
+            bs = gen_breaking_set(model, 1, 5, unit_norm=unit_norm, seed=33)
+            assert bs.unit is unit_norm
+            assert [t.unit for t in bs.templates] == [unit_norm] * 5
+            assert np.array_equal(np.stack([t.values for t in bs.templates]), bs.values)
 
     def test_single_identity_model_rejected(self):
         centers = np.ones((1, 4)) / 2.0
@@ -151,10 +167,9 @@ class TestBreakingSet:
         for target in range(10):
             enrolled = enrollment_template(model, target)
             bs = gen_breaking_set(model, target, 2000, seed=make_rng(6, "bs", target))
-            for _, member in bs:
-                d = enrolled.values - member.values
-                accepted += float(d @ d) <= threshold.value
-                total += 1
+            distances = np.sum((bs.values - enrolled.values) ** 2, axis=1)
+            accepted += int(np.sum(distances <= threshold.value))
+            total += len(bs)
         rate = accepted / total
         assert 0.5 * fmr < rate < 2.0 * fmr
 
