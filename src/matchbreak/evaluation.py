@@ -388,6 +388,8 @@ def write_report_json(report: ExperimentReport, path) -> None:
 
 def load_report(path) -> ExperimentReport:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"report {path} is not a JSON object")
     if doc.get("format") != _REPORT_FORMAT:
         raise ValueError(f"unsupported report format {doc.get('format')!r}")
     try:

@@ -30,6 +30,7 @@ from .validation import check_count, check_nonnegative
 
 _MODEL_FORMAT = "matchbreak-model-v1"
 _CENTER_NORM_TOL = 1e-9
+_BLOCK_ELEMENTS = 1 << 16  # values per row block: 512 KB of float64 stays in L2; 4 MB blocks ran slower
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,16 +192,30 @@ def gen_breaking_set(
         raise ValueError("breaking set needs at least one identity besides the target")
     labels = others[np.arange(size) % len(others)]
 
-    rng = as_generator(seed)
-    values = model.centers[labels] + model.within_noise_sigma * rng.standard_normal((size, model.dim))
+    values = as_generator(seed).standard_normal((size, model.dim))
+    values *= model.within_noise_sigma
+    values += model.centers[labels]
     if unit_norm:
         norms = np.linalg.norm(values, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise RuntimeError("degenerate sample draw")  # probability zero
-        values = values / norms
+        values /= norms
     labels.setflags(write=False)
     values.setflags(write=False)
     return BreakingSet(labels=labels, values=values, unit=bool(unit_norm), excluded=idx)
+
+
+def _to_samples(rows: np.ndarray, centers: np.ndarray, sigma: float, unit_norm: bool) -> np.ndarray:
+    """Turn the standard normals in ``rows`` into samples of ``centers``, in
+    place, and return the samples' norms before any normalisation."""
+    rows *= sigma
+    rows += centers
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0.0):
+        raise RuntimeError("degenerate sample draw")  # probability zero
+    if unit_norm:
+        rows /= norms[:, None]
+    return norms
 
 
 def _pair_scores(
@@ -213,41 +228,57 @@ def _pair_scores(
     seed: SeedLike,
     chunk_size: int = 20000,
 ) -> np.ndarray:
+    """Scores of ``n_pairs`` pairs of fresh samples, drawn in chunks.
+
+    The draws are the sampler's specification. Each chunk of
+    ``m = min(chunk_size, pairs left)`` pairs draws, in this order:
+
+    1. ``i = integers(0, n, m)``, the first sample's identities;
+    2. for impostor pairs, offsets ``integers(1, n, m)`` and
+       ``j = (i + offset) % n``, so never the same identity; else ``j = i``;
+    3. all ``m × d`` standard normals of the first samples ``a``;
+    4. all ``m × d`` standard normals of the second samples ``b``.
+
+    A sample is ``center + sigma * normals``, divided by its norm when
+    ``unit_norm``. SED is the einsum of the difference with itself; cosine
+    is the einsum of the pair, divided by the product of the norms unless
+    the samples are unit-norm.
+
+    Memory is one ``(chunk_size, d)`` buffer, reused by every chunk for
+    ``a``, plus a few row blocks of about ``_BLOCK_ELEMENTS`` values: each
+    block of ``a`` is finished in place, and ``b`` is drawn block by block
+    into one block buffer, which continues the generator's stream exactly
+    where one draw of all ``m × d`` normals would.
+    """
     metric = Metric(metric)
     check_count(n_pairs, "n_pairs", minimum=1)
     if impostor and model.num_identities < 2:
         raise ValueError("impostor pairs need at least two identities")
     rng = as_generator(seed)
-    n = model.num_identities
+    n, centers, sigma = model.num_identities, model.centers, model.within_noise_sigma
     out = np.empty(n_pairs, dtype=np.float64)
-    done = 0
-    while done < n_pairs:
+    a_buf = np.empty((min(chunk_size, n_pairs), model.dim))
+    block = max(1, _BLOCK_ELEMENTS // model.dim)
+    b_buf = np.empty((min(block, len(a_buf)), model.dim))
+    for done in range(0, n_pairs, chunk_size):
         m = min(chunk_size, n_pairs - done)
         i = rng.integers(0, n, size=m)
-        if impostor:
-            j = (i + rng.integers(1, n, size=m)) % n  # never the same identity
-        else:
-            j = i
-        a = model.centers[i] + model.within_noise_sigma * rng.standard_normal((m, model.dim))
-        b = model.centers[j] + model.within_noise_sigma * rng.standard_normal((m, model.dim))
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        if np.any(na == 0.0) or np.any(nb == 0.0):
-            raise RuntimeError("degenerate sample draw")  # probability zero
-        if unit_norm:
-            a = a / na[:, None]
-            b = b / nb[:, None]
-            na = nb = None
-        if metric is Metric.SED:
-            diff = a - b
-            out[done:done + m] = np.einsum("ij,ij->i", diff, diff)
-        else:
-            dots = np.einsum("ij,ij->i", a, b)
-            if na is None:
-                out[done:done + m] = dots
+        j = (i + rng.integers(1, n, size=m)) % n if impostor else i
+        rng.standard_normal(out=a_buf[:m])
+        for lo in range(0, m, block):
+            hi = min(lo + block, m)
+            a, b = a_buf[lo:hi], b_buf[:hi - lo]
+            rng.standard_normal(out=b)
+            na = _to_samples(a, centers[i[lo:hi]], sigma, unit_norm)
+            nb = _to_samples(b, centers[j[lo:hi]], sigma, unit_norm)
+            if metric is Metric.SED:
+                np.subtract(a, b, out=b)
+                scores = np.einsum("ij,ij->i", b, b)
             else:
-                out[done:done + m] = dots / (na * nb)
-        done += m
+                scores = np.einsum("ij,ij->i", a, b)
+                if not unit_norm:
+                    scores /= na * nb
+            out[done + lo:done + hi] = scores
     return out
 
 
@@ -363,6 +394,8 @@ def load_model(directory) -> IdentityModel:
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no model manifest at {manifest_path}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"model manifest {manifest_path} is not a JSON object")
     if manifest.get("format") != _MODEL_FORMAT:
         raise ValueError(f"unsupported model format {manifest.get('format')!r}")
     centers = np.load(directory / "centers.npy")

@@ -72,6 +72,14 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'dim'" in err and "Traceback" not in err
 
+    def test_manifest_that_is_not_an_object(self, model_dir, tmp_path, capsys):
+        broken = tmp_path / "model"
+        shutil.copytree(model_dir, broken)
+        (broken / "model.json").write_text("[1]")
+        assert run_cli("calibrate", "--model", broken, "--fmr", 0.01) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a JSON object" in err and "Traceback" not in err
+
 
 class TestAttack:
     def test_score_sed_writes_template_and_result(self, model_dir, tmp_path, capsys):
@@ -216,6 +224,13 @@ class TestExperimentAndReport:
         assert run_cli("report", "--in", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'rows'" in err and "Traceback" not in err
+
+    def test_report_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("[1]")
+        assert run_cli("report", "--in", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a JSON object" in err and "Traceback" not in err
 
     def test_seed_override_changes_fingerprint(self, config_path, tmp_path, capsys):
         run_cli("experiment", "--config", config_path, "--out", tmp_path / "a")

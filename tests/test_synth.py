@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from matchbreak import synth
 from matchbreak.matcher import Metric, OracleMode, calibrate_threshold
 from matchbreak.rng import make_rng
 from matchbreak.synth import (
@@ -16,6 +19,7 @@ from matchbreak.synth import (
     sample_template,
     save_model,
 )
+from reference_sampler import reference_breaking_values, reference_pair_scores
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +151,14 @@ class TestBreakingSet:
             assert [t.unit for t in bs.templates] == [unit_norm] * 5
             assert np.array_equal(np.stack([t.values for t in bs.templates]), bs.values)
 
+    @pytest.mark.parametrize("unit_norm", [True, False])
+    def test_values_equal_the_reference_draw(self, model, unit_norm):
+        rng, ref_rng = make_rng(4, "bs"), make_rng(4, "bs")
+        bs = gen_breaking_set(model, 2, 300, unit_norm=unit_norm, seed=rng)
+        expected = reference_breaking_values(model, bs.labels, unit_norm=unit_norm, seed=ref_rng)
+        assert np.array_equal(bs.values, expected)
+        assert rng.random() == ref_rng.random()
+
     def test_single_identity_model_rejected(self):
         centers = np.ones((1, 4)) / 2.0
         lonely = IdentityModel(
@@ -198,6 +210,43 @@ class TestPairScores:
         a = impostor_scores(model, Metric.SED, 1000, seed=8)
         b = impostor_scores(model, Metric.SED, 1000, seed=8)
         assert np.array_equal(a, b)
+        # a count past one 20,000-pair chunk draws chunk by chunk like the reference
+        crossing = impostor_scores(model, Metric.SED, 20000 + 777, seed=8)
+        expected = reference_pair_scores(
+            model, Metric.SED, 20000 + 777, impostor=True, unit_norm=True, seed=make_rng(8)
+        )
+        assert np.array_equal(crossing, expected)
+
+    @pytest.mark.parametrize("metric", [Metric.SED, Metric.COSINE])
+    @pytest.mark.parametrize("unit_norm", [True, False])
+    @pytest.mark.parametrize("impostor", [True, False])
+    def test_bit_identical_to_reference(self, model, metric, unit_norm, impostor):
+        """Same draws in the same order and the same arithmetic as the
+        whole-chunk reference, for counts that end inside the first row
+        block, just past it, and just past the first chunk."""
+        sample = impostor_scores if impostor else genuine_scores
+        block = synth._BLOCK_ELEMENTS // model.dim
+        for n_pairs in (1, block + 1, 20001):
+            rng, ref_rng = make_rng(12, n_pairs), make_rng(12, n_pairs)
+            scores = sample(model, metric, n_pairs, unit_norm=unit_norm, seed=rng)
+            expected = reference_pair_scores(
+                model, metric, n_pairs, impostor=impostor, unit_norm=unit_norm, seed=ref_rng
+            )
+            assert np.array_equal(scores, expected), n_pairs
+            assert rng.random() == ref_rng.random(), n_pairs
+
+    def test_memory_is_one_chunk_buffer(self):
+        """40,000 pairs at d=256 peak below 1.5 chunks of (20000, 256) float64;
+        building whole-chunk temporaries peaked near 196 MiB."""
+        wide = gen_identity_model(256, 50, seed=2)
+        chunk_bytes = 20000 * 256 * 8
+        tracemalloc.start()
+        try:
+            impostor_scores(wide, Metric.SED, 40000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk_bytes
 
     def test_cosine_range(self, model):
         scores = impostor_scores(model, Metric.COSINE, 1000, seed=9)
@@ -214,6 +263,12 @@ class TestPersistence:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "nope")
+
+    def test_manifest_must_be_an_object(self, tmp_path, model):
+        save_model(model, tmp_path / "m")
+        (tmp_path / "m" / "model.json").write_text("[1]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_model(tmp_path / "m")
 
     def test_format_tag_checked(self, tmp_path, model):
         save_model(model, tmp_path / "m")
