@@ -38,7 +38,7 @@ from .errors import (
 from .linalg import solve_linear_system, sphere_center
 from .matcher import Metric, OracleMode
 from .rng import SeedLike, as_generator, random_unit_vector, random_unit_vectors
-from .synth import BreakingSet
+from .synth import _BLOCK_ELEMENTS, BreakingSet
 from .templates import Template, normalize
 from .validation import as_vector, check_count, check_positive
 
@@ -253,14 +253,21 @@ class HillClimbAttack(Attack):
         current = random_unit_vector(rng, self.dim)  # start on the sphere templates live on
         best = oracle.authenticate_score(claim, current)
         trace = [(1, best)]
-        for i in range(self.budget):
-            candidate = current + self.step_size * random_unit_vector(rng, self.dim)
-            if metric is Metric.COSINE:
-                candidate = candidate / np.linalg.norm(candidate)
-            score = oracle.authenticate_score(claim, candidate)
-            if improves(score, best):
-                current, best = candidate, score
-                trace.append((i + 2, best))
+        # Moves come in blocks of rows from one stream, as one
+        # random_unit_vector call per step would draw them.
+        block = max(1, _BLOCK_ELEMENTS // self.dim)
+        for first in range(0, self.budget, block):
+            moves = self.step_size * random_unit_vectors(
+                rng, self.dim, min(block, self.budget - first)
+            )
+            for i, move in enumerate(moves, start=first):
+                candidate = current + move
+                if metric is Metric.COSINE:
+                    candidate = candidate / np.linalg.norm(candidate)
+                score = oracle.authenticate_score(claim, candidate)
+                if improves(score, best):
+                    current, best = candidate, score
+                    trace.append((i + 2, best))
         extras = {"final_score": best, "improvements": len(trace) - 1}
         if self.record_trace:
             extras["trace"] = trace
@@ -360,6 +367,9 @@ def boundary_points(
 
     Each round of :func:`boundary_point` runs for all rays at once: one
     batch of ``count`` probes per halving, directions drawn in row order.
+    A ray ``start + t * u`` is bisected on its scalar bracket ``[t_in,
+    t_out]``, from ``[0, 2 * radius]``; each halving sends a freshly built
+    batch at the midpoints, so an oracle may keep the arrays it was sent.
     Rays that never left the region are redrawn together in the next pass,
     and the radius estimate doubles after ``max_direction_redraws`` of
     those. Returns the ``(count, d)`` points and the number of rounds
@@ -378,17 +388,20 @@ def boundary_points(
     for radius in (radius_estimate, 2.0 * radius_estimate):
         for _ in range(max_direction_redraws + 1):
             directions = random_unit_vectors(rng, center.size, len(pending))
-            inside = np.tile(center, (len(pending), 1))
-            outside = center + (2.0 * radius) * directions
+            t_in = np.zeros(len(pending))
+            t_out = np.full(len(pending), 2.0 * radius)
             left_region = np.zeros(len(pending), dtype=bool)
             for _ in range(precision):
-                midpoint = 0.5 * (inside + outside)
-                accepted = oracle.authenticate_binary_many(claim, midpoint)
-                np.copyto(inside, midpoint, where=accepted[:, None])
-                np.copyto(outside, midpoint, where=~accepted[:, None])
+                t = 0.5 * (t_in + t_out)
+                probes = t[:, None] * directions
+                probes += center
+                accepted = oracle.authenticate_binary_many(claim, probes)
+                np.copyto(t_in, t, where=accepted)
+                np.copyto(t_out, t, where=~accepted)
                 left_region |= ~accepted
             rounds += len(pending)
-            points[pending[left_region]] = 0.5 * (inside + outside)[left_region]
+            t = 0.5 * (t_in + t_out)
+            points[pending[left_region]] = t[left_region, None] * directions[left_region] + center
             pending = pending[~left_region]
             if not pending.size:
                 return points, rounds

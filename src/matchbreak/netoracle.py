@@ -356,8 +356,3 @@ class RemoteOracle:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def remote_oracle(address, *, metric: Metric, mode: OracleMode, timeout: float = 30.0) -> RemoteOracle:
-    """Connect to a served oracle; raises ``ConnectionError`` when unreachable."""
-    return RemoteOracle(address, metric=metric, mode=mode, timeout=timeout)

@@ -9,7 +9,6 @@ different keys are statistically independent and reproducible across runs.
 
 from __future__ import annotations
 
-import math
 import zlib
 
 import numpy as np
@@ -64,19 +63,20 @@ def random_unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.nd
 
     One ``standard_normal((count, dim))`` call consumes the stream as
     ``count`` calls of :func:`random_unit_vector` would, and each row is
-    divided by ``sqrt(row.dot(row))``, the product ``np.linalg.norm`` takes
-    of a vector, so the rows equal those calls' results bit for bit. A zero
-    row (probability zero) is redrawn after the whole batch is drawn.
+    divided by the square root of ``np.vecdot(row, row)``: the same BLAS dot
+    product ``np.linalg.norm`` takes of a vector (``einsum`` sums in another
+    order), so the rows equal those calls' results bit for bit. A zero row
+    (probability zero) is redrawn after the whole batch is drawn.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rows = rng.standard_normal((count, dim))
-    for row in rows:
-        sq_norm = row.dot(row)
-        while sq_norm == 0.0:  # probability zero, but it would divide by zero
-            row[:] = rng.standard_normal(dim)
-            sq_norm = row.dot(row)
-        row /= math.sqrt(sq_norm)
+    sq_norms = np.vecdot(rows, rows)
+    for i in np.flatnonzero(sq_norms == 0.0):  # probability zero, but it would divide by zero
+        while sq_norms[i] == 0.0:
+            rows[i] = rng.standard_normal(dim)
+            sq_norms[i] = rows[i].dot(rows[i])
+    rows /= np.sqrt(sq_norms)[:, None]
     return rows

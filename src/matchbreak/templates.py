@@ -45,12 +45,6 @@ class Template:
     def dim(self) -> int:
         return int(self.values.size)
 
-    def norm(self) -> float:
-        return l2_norm(self)
-
-    def normalized(self) -> "Template":
-        return normalize(self)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Template):
             return NotImplemented

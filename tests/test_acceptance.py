@@ -36,7 +36,7 @@ from matchbreak.matcher import (
     OracleMode,
     sed_score,
 )
-from matchbreak.netoracle import remote_oracle, serve
+from matchbreak.netoracle import RemoteOracle, serve
 from matchbreak.rng import make_rng
 from matchbreak.synth import (
     enrollment_template,
@@ -424,7 +424,7 @@ def test_criterion_10_remote_oracle_changes_nothing(model16, cal16):
         )
         served_oracle = fresh_oracle()
         with serve(served_oracle) as server:
-            with remote_oracle(server.address, metric=metric, mode=mode) as remote:
+            with RemoteOracle(server.address, metric=metric, mode=mode) as remote:
                 via_tcp = attack.reconstruct(
                     remote, str(target), seed=make_rng(44, attack.name), breaking_set=needs_set
                 )
@@ -441,7 +441,7 @@ def test_criterion_10_remote_oracle_changes_nothing(model16, cal16):
     concurrent_oracle.enroll("0", enrollment_template(model16, 0).values)
     with serve(concurrent_oracle) as server:
         def hammer(k):
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as r:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as r:
                 rng = make_rng(44, "concurrent", k)
                 for _ in range(per_client):
                     r.authenticate_score("0", rng.normal(size=16))

@@ -25,7 +25,7 @@ from matchbreak.matcher import (
     Threshold,
     sed_score,
 )
-from matchbreak.rng import make_rng, random_unit_vector
+from matchbreak.rng import make_rng, random_unit_vector, random_unit_vectors
 from matchbreak.templates import Template
 from matchbreak.synth import enrollment_template, gen_breaking_set, gen_identity_model, impostor_scores
 from matchbreak.matcher import calibrate_threshold
@@ -403,6 +403,42 @@ class TestLockstep:
         assert rounds == 5 * 9 + 5
         assert oracle.queries == rounds * precision
         assert all(abs(sed_score(p, truth) - threshold) <= threshold / 2 ** (precision - 1) for p in points)
+
+    def test_points_lie_on_their_own_rays(self):
+        """Each point is ``start + t * u`` on the direction drawn for its
+        ray, with ``0 < t <= 2 * radius``."""
+        truth = random_unit_vector(make_rng(6), 16)
+        threshold = 0.25
+        radius = math.sqrt(threshold)
+        start = truth + 0.2 * random_unit_vector(make_rng(7), 16)  # accepted, off center: every ray leaves
+        oracle = binary_oracle(truth, threshold)
+        points, rounds = attacks_module.boundary_points(oracle, "t", start, radius, 20, make_rng(8), 40)
+        assert rounds == 40
+        directions = random_unit_vectors(make_rng(8), 16, 40)
+        t = np.vecdot(points - start, directions)
+        assert np.all((t > 0) & (t <= 2 * radius))
+        assert np.allclose(points, start + t[:, None] * directions, rtol=0, atol=1e-14)
+
+    def test_an_oracle_may_keep_the_batches_it_answered(self):
+        """Every halving sends a new array, so a batch the oracle keeps
+        still holds the probes it answered once the bisection is done."""
+
+        class Recording(MatchingOracle):
+            kept = []
+
+            def authenticate_binary_many(self, claim, probes):
+                self.kept.append((probes, np.array(probes, copy=True)))
+                return super().authenticate_binary_many(claim, probes)
+
+        truth = random_unit_vector(make_rng(4), 8)
+        oracle = Recording(OracleConfig(metric=Metric.SED, mode=OracleMode.BINARY,
+                                        threshold=Threshold(0.25, Metric.SED)))
+        oracle.enroll("t", truth)
+        # five rays fail nine passes, then all leave at the doubled radius: ten passes of six halvings
+        attacks_module.boundary_points(oracle, "t", truth, 0.4 * 0.5, 6, make_rng(15), 5)
+        assert len(oracle.kept) == 10 * 6
+        for kept, answered in oracle.kept:
+            assert np.array_equal(kept, answered)
 
     def test_queries_are_counted_on_the_client(self, setup24):
         """The attack never reads the oracle's ledger, so the count needs no

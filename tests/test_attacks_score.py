@@ -10,7 +10,7 @@ from matchbreak.attacks import (
 )
 from matchbreak.errors import OracleModeError, SingularSystemError
 from matchbreak.matcher import MatchingOracle, Metric, OracleConfig, OracleMode, Threshold
-from matchbreak.rng import make_rng
+from matchbreak.rng import make_rng, random_unit_vector
 from matchbreak.synth import enrollment_template, gen_identity_model
 
 
@@ -186,6 +186,37 @@ class TestHillClimbAttack:
         oracle.enroll("t", truth.values)
         with pytest.raises(OracleModeError):
             HillClimbAttack(dim=128).reconstruct(oracle, "t", seed=1)
+
+    @staticmethod
+    def reference(oracle, attack, seed):
+        """``hill`` drawing one move per step."""
+        rng = make_rng(seed)
+        cosine = oracle.metric is Metric.COSINE
+        current = random_unit_vector(rng, attack.dim)
+        best = oracle.authenticate_score("t", current)
+        trace = [(1, best)]
+        for i in range(attack.budget):
+            candidate = current + attack.step_size * random_unit_vector(rng, attack.dim)
+            if cosine:
+                candidate = candidate / np.linalg.norm(candidate)
+            score = oracle.authenticate_score("t", candidate)
+            if (score > best) if cosine else (score < best):
+                current, best = candidate, score
+                trace.append((i + 2, best))
+        return current, trace
+
+    @pytest.mark.parametrize("metric", [Metric.SED, Metric.COSINE])
+    @pytest.mark.parametrize("budget", [0, 1, 1100])  # 1100 moves at d=128: two 512-row blocks and a part
+    def test_block_drawn_moves_equal_per_step_draws(self, model, metric, budget):
+        truth = enrollment_template(model, 11).values
+        attack = HillClimbAttack(dim=128, budget=budget, record_trace=True)
+        result = attack.reconstruct(score_oracle(truth, metric=metric), "t", seed=7)
+        current, trace = self.reference(score_oracle(truth, metric=metric), attack, 7)
+        assert np.array_equal(result.recovered.values, current)
+        assert result.params["trace"] == trace
+        assert result.params["final_score"] == trace[-1][1]
+        assert result.params["improvements"] == len(trace) - 1
+        assert result.queries_used == budget + 1
 
 
 class TestFactory:

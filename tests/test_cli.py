@@ -9,7 +9,7 @@ import pytest
 
 from matchbreak.cli import main
 from matchbreak.matcher import Metric, OracleMode
-from matchbreak.netoracle import remote_oracle, server_from_config
+from matchbreak.netoracle import RemoteOracle, server_from_config
 from matchbreak.synth import enrollment_template, load_model
 from matchbreak.templates import read_template
 
@@ -138,7 +138,7 @@ class TestAttack:
         doc = {"model": str(model_dir), "mode": "binary", "threshold": 1e-6, "identities": [0]}
         out = tmp_path / "run"
         with server_from_config(doc) as server:
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as other:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as other:
                 for _ in range(25):
                     other.authenticate_binary("0", np.zeros(16))
             host, port = server.address
@@ -260,7 +260,7 @@ class TestServe:
             assert "serving sed/score oracle (20 identities)" in banner
             address = (match.group(1), int(match.group(2)))
             truth = enrollment_template(load_model(model_dir), 4)
-            with remote_oracle(address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 assert remote.authenticate_score("4", truth.values) == 0.0
                 assert remote.queries == 1
         finally:

@@ -25,7 +25,6 @@ from matchbreak.netoracle import (
     RemoteOracle,
     WireMessage,
     _parse_address,
-    remote_oracle,
     serve,
     server_from_config,
 )
@@ -88,7 +87,7 @@ class TestScoreTransport:
         shadow = make_local(OracleMode.SCORE)
         rng = make_rng(5, "probes")
         with serve(local) as server:
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 for _ in range(20):
                     probe = rng.normal(size=DIM)
                     assert remote.authenticate_score("3", probe) == shadow.authenticate_score("3", probe)
@@ -110,7 +109,7 @@ class TestScoreTransport:
         a client cannot wipe the count it is held to."""
         local = make_local(OracleMode.SCORE)
         with serve(local) as server:
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 assert remote.queries == 0
                 remote.authenticate_score("0", np.zeros(DIM))
                 remote.authenticate_score("0", np.zeros(DIM))
@@ -130,20 +129,20 @@ class TestErrorCodes:
             yield server
 
     def test_unknown_identity(self, score_server):
-        with remote_oracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+        with RemoteOracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
             with pytest.raises(UnknownIdentityError):
                 remote.authenticate_score("nobody", np.zeros(DIM))
             assert remote.sent_queries == 0
 
     def test_bad_dimension(self, score_server):
-        with remote_oracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+        with RemoteOracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
             with pytest.raises(DimensionMismatchError):
                 remote.authenticate_score("0", np.zeros(DIM + 1))
 
     def test_locked_after_query_limit(self):
         local = make_local(OracleMode.SCORE, query_limit=3)
         with serve(local) as server:
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 for _ in range(3):
                     remote.authenticate_score("0", np.zeros(DIM))
                 with pytest.raises(LockedOutError):
@@ -185,7 +184,7 @@ class TestErrorCodes:
                 assert f.readline() == b""
             except ConnectionResetError:
                 pass  # the unread tail of the line may reset the closed connection
-        with remote_oracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+        with RemoteOracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
             probe = enrollment_template(make_model(), 0).values
             assert remote.authenticate_score("0", probe) == 0.0
 
@@ -224,7 +223,7 @@ class TestErrorCodes:
                 assert json.loads(f.readline())["error"] == "BAD_REQUEST"
 
     def test_client_mode_guard_without_round_trip(self, score_server):
-        with remote_oracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+        with RemoteOracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
             with pytest.raises(OracleModeError):
                 remote.authenticate_binary("0", np.zeros(DIM))
 
@@ -240,7 +239,7 @@ class TestEnrollment:
             with socket.create_connection(server.address) as sock:
                 f = sock.makefile("rwb")
                 assert ask(f, {"op": "enroll", "claim": "fresh", "template": template.tolist()})["error"] == "BAD_REQUEST"
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(UnknownIdentityError):
                     remote.authenticate_score("fresh", template)
                 oracle.enroll("fresh", template)
@@ -257,7 +256,7 @@ class TestConcurrency:
         with serve(local) as server:
             def worker(k):
                 try:
-                    with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                    with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                         rng = make_rng(9, "client", k)
                         for _ in range(per_client):
                             remote.authenticate_score("1", rng.normal(size=DIM))
@@ -307,7 +306,7 @@ class TestServerFromConfig:
         with server_from_config(doc, base_dir=model_dir) as server:
             assert server.oracle.mode is OracleMode.BINARY
             assert len(server.oracle.enrolled_identities) == 6
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
                 probe = enrollment_template(make_model(), 2).values
                 assert remote.authenticate_binary("2", probe) is True
 
@@ -372,7 +371,7 @@ class TestBatches:
         expected = local.authenticate_binary_many("0", probes)
         with serve(served) as server:
             lines = recording(server)
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
                 matches = remote.authenticate_binary_many("0", probes)
                 assert remote.sent_queries == 513
         assert matches.dtype == bool and np.array_equal(matches, expected)
@@ -386,7 +385,7 @@ class TestBatches:
         probes = np.full((300, 512), -2.2250738585072014e-308)
         with serve(local) as server:
             lines = recording(server)
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(DimensionMismatchError):
                     remote.authenticate_score_many("0", probes)
         assert all(len(line) <= MAX_REQUEST_BYTES for line in lines)
@@ -400,7 +399,7 @@ class TestBatches:
         local, served = twin_oracles(metric, OracleMode.SCORE, enrolled, noise_sigma=0.2, noise_seed=3)
         expected = local.authenticate_score_many("0", probes)
         with serve(served) as server:
-            with remote_oracle(server.address, metric=metric, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=metric, mode=OracleMode.SCORE) as remote:
                 assert np.array_equal(remote.authenticate_score_many("0", probes), expected)
                 assert remote.authenticate_score("0", probes[0]) == local.authenticate_score("0", probes[0])
 
@@ -413,7 +412,7 @@ class TestBatches:
             local.authenticate_score_many("0", probes)
         with serve(served) as server:
             lines = recording(server)
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(LockedOutError):
                     remote.authenticate_score_many("0", probes)
                 first_line_rows = len(json.loads(lines[0])["templates"])
@@ -446,7 +445,7 @@ class TestBatches:
                     assert doc.get("served") == count
                     assert (doc.get("error") == "LOCKED") == (count is not None)
             served.reset_ledger()
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(LockedOutError) as remote_info:
                     remote.authenticate_score_many("0", probes)
                 assert remote_info.value.served == remote.sent_queries == 3
@@ -454,7 +453,7 @@ class TestBatches:
 
     def test_bad_batches(self):
         with serve(make_local(OracleMode.SCORE)) as server:
-            with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+            with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(DimensionMismatchError):
                     remote.authenticate_score_many("0", np.zeros((2, DIM + 1)))
                 with pytest.raises(UnknownIdentityError):
@@ -488,14 +487,14 @@ class TestBatches:
             lines = recording(server)
 
             def other_client():
-                with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as other:
+                with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as other:
                     while not stop.is_set():
                         other.authenticate_binary("5", np.zeros(16))
 
             thread = threading.Thread(target=other_client)
             thread.start()
             try:
-                with remote_oracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
+                with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
                     result = attack.reconstruct(remote, "5", seed=6, breaking_set=bs)
             finally:
                 stop.set()

@@ -80,7 +80,7 @@ def test_random_unit_vector_bad_dim():
         random_unit_vector(make_rng(0), 0)
 
 
-@pytest.mark.parametrize(("dim", "count"), [(1, 4), (7, 9), (512, 3)])
+@pytest.mark.parametrize(("dim", "count"), [(1, 4), (7, 9), (512, 3), (128, 1100)])
 def test_random_unit_vectors_equal_successive_single_draws(dim, count):
     """Bit for bit equal to single draws, and to the reference definition:
     one ``standard_normal(dim)`` per direction over ``np.linalg.norm``."""
