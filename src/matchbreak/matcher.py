@@ -36,30 +36,50 @@ class OracleMode(str, Enum):
     BINARY = "binary"
 
 
-# Scores use np.sum reductions, not BLAS dot: dot kernels pick different
-# instruction paths for strided views, shifting the last ulp, and a score must
-# be a function of the values alone so that recomputing it from a wire copy of
-# the same numbers gives the identical float. A reduction along the rows of a
-# C-contiguous batch runs the same pairwise sum as on each row alone, so a row
-# scores the same bits whether it is sent alone or in a batch.
+# Scores reduce with method-form sums over the last axis, not BLAS dot: dot
+# kernels pick different instruction paths for strided views, shifting the last
+# ulp, and a score must be a function of the values alone so that recomputing
+# it from a wire copy of the same numbers gives the identical float. A
+# reduction along a contiguous row runs the same pairwise sum whether the row
+# is a 1-D probe or one row of a C-contiguous batch, so a probe scores the same
+# bits whether it is sent alone or in a batch.
 
 
-def _score_rows(metric: Metric, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Score each row of the ``(n, d)`` array ``rows`` against ``a``."""
+def _score_rows(metric: Metric, a: np.ndarray, rows: np.ndarray, check=None):
+    """Score ``rows`` against ``a``: one score per row of an ``(n, d)``
+    batch, or one 0-d score for a 1-D probe.
+
+    ``check``, when given, validates ``rows`` and is called only where a
+    non-finite entry could be the cause: before a non-finite SED score is
+    returned, and under cosine when a norm is not finite, before the dot
+    product or the zero-norm refusal. A NaN or inf entry always gets there,
+    so the check can refuse it as if it had run first.
+    """
     if metric is Metric.SED:
-        return np.sum((a - rows) ** 2, axis=1)
-    na = math.sqrt(np.sum(a * a))
-    nr = np.sqrt(np.sum(rows * rows, axis=1))
-    if na == 0.0 or np.any(nr == 0.0):
+        diff = a - rows
+        np.square(diff, out=diff)
+        values = diff.sum(axis=-1)
+        if check is not None and not _all_finite(values):
+            check()
+        return values
+    na = math.sqrt((a * a).sum())
+    nr = np.sqrt((rows * rows).sum(axis=-1))
+    if check is not None and not _all_finite(nr):
+        check()
+    if na == 0.0 or (nr == 0.0).any():
         raise DegenerateTemplateError("degenerate template: the zero vector has no direction")
-    return np.sum(a * rows, axis=1) / (na * nr)
+    return (a * rows).sum(axis=-1) / (na * nr)
+
+
+def _all_finite(x) -> bool:
+    return math.isfinite(x) if x.ndim == 0 else bool(np.isfinite(x).all())
 
 
 def _score_pair(metric: Metric, a, b) -> float:
     av = as_vector(a, name="a")
     bv = as_vector(b, name="b")
     check_same_dim(av, bv, names=("a", "b"))
-    return float(_score_rows(metric, av, bv[None, :])[0])
+    return float(_score_rows(metric, av, bv))
 
 
 def sed_score(a, b) -> float:
@@ -97,7 +117,8 @@ class Threshold:
         object.__setattr__(self, "metric", metric)
 
     def accepts(self, score_value: float) -> bool:
-        return bool(self.accepts_many(float(score_value)))
+        s = float(score_value)
+        return s <= self.value if self.metric is Metric.SED else s >= self.value
 
     def accepts_many(self, scores) -> np.ndarray:
         """Elementwise :meth:`accepts` over an array of scores."""
@@ -212,8 +233,8 @@ class MatchingOracle:
 
     The ``*_many`` methods take an ``(n, d)`` batch of probes in one locked
     call and answer, count and add noise to each row exactly as ``n``
-    single-probe calls in row order would; the single-probe methods are
-    one-row batches.
+    single-probe calls in row order would. A single probe is scored as a
+    1-D vector, with the same reduction a batch row gets.
     """
 
     def __init__(self, config: OracleConfig, *, noise_seed: SeedLike = 0):
@@ -275,11 +296,11 @@ class MatchingOracle:
 
     def authenticate_score(self, identity: str, probe) -> float:
         self._require(OracleMode.SCORE)
-        return float(self._serve(identity, probe, batch=False)[0])
+        return float(self._serve(identity, probe, batch=False))
 
     def authenticate_binary(self, identity: str, probe) -> bool:
         self._require(OracleMode.BINARY)
-        return self._config.threshold.accepts(self._serve(identity, probe, batch=False)[0])
+        return self._config.threshold.accepts(self._serve(identity, probe, batch=False))
 
     def authenticate_score_many(self, identity: str, probes) -> np.ndarray:
         """Released scores of the rows of ``probes``, as if each row were
@@ -299,12 +320,15 @@ class MatchingOracle:
                 raise OracleModeError("oracle is in binary mode and does not release scores")
             raise OracleModeError("oracle is in score mode; use authenticate_score")
 
-    def _serve(self, identity: str, probes, *, batch: bool) -> np.ndarray:
-        """Score a batch of probes (one probe unless ``batch``) under the
-        lock. An invalid batch is refused whole. Under a query limit the
-        rows that fit are served, recorded and given their noise in order,
-        and a lockout is raised if any row is left over, so the ledger reads
-        what one call per row would have left."""
+    def _serve(self, identity: str, probes, *, batch: bool):
+        """Score a batch of probes, or one 1-D probe unless ``batch``, under
+        the lock. An invalid batch is refused whole, before anything is
+        counted. Shape and dimension are checked first; finiteness is checked
+        by the full validator only when a score or norm comes out non-finite,
+        which a NaN or inf entry always causes. Under a query limit the rows
+        that fit are served, recorded and given their noise in order, and a
+        lockout is raised if any row is left over, so the ledger reads what
+        one call per row would have left."""
         with self._lock:
             if identity not in self._enrolled:
                 raise UnknownIdentityError(f"unknown identity {identity!r}")
@@ -313,15 +337,31 @@ class MatchingOracle:
             if left == 0:
                 raise LockedOutError(f"locked out: query limit of {limit} reached for {identity!r}")
             enrolled = self._enrolled[identity]
+
+            def check():
+                if batch:
+                    return as_matrix(probes, name="probes", dim=enrolled.size)
+                return as_vector(probes, name="probe", dim=enrolled.size)
+
             if batch:
-                rows = as_matrix(probes, name="probes", dim=enrolled.size)
+                rows = np.asarray(probes, dtype=np.float64, order="C")
+                if rows.ndim != 2 or rows.shape[1] != enrolled.size:
+                    rows = check()  # raises, in the validator's order of checks
             else:
-                rows = as_vector(probes, name="probe", dim=enrolled.size)[None, :]
-            values = _score_rows(self._config.metric, enrolled, rows)
+                rows = np.asarray(getattr(probes, "values", probes), dtype=np.float64)
+                if rows.shape != enrolled.shape:
+                    rows = check()
+            values = _score_rows(self._config.metric, enrolled, rows, check)
+            sigma = self._config.noise_sigma
+            if not batch:
+                if sigma > 0.0:
+                    values = values + sigma * self._noise_rng.standard_normal()
+                self._ledger.record(identity)
+                return values
             n = len(values) if left is None else min(len(values), left)
             values = values[:n]
-            if self._config.noise_sigma > 0.0:
-                values = values + self._config.noise_sigma * self._noise_rng.standard_normal(n)
+            if sigma > 0.0:
+                values = values + sigma * self._noise_rng.standard_normal(n)
             self._ledger.record(identity, n)
             if n < len(rows):
                 raise LockedOutError(

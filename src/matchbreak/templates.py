@@ -1,13 +1,12 @@
-"""Feature-vector templates and their on-disk formats.
+"""Feature-vector templates and their on-disk format.
 
 A template is an immutable float64 vector, optionally flagged as unit-norm.
-Two serializations are supported: a compact binary record (magic ``TPL1``,
-little-endian header and payload) and a JSON document for interoperability.
+Its file form is a compact binary record (magic ``TPL1``, little-endian
+header and payload).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -54,11 +53,6 @@ class Template:
         return f"Template(dim={self.dim}, unit={self.unit})"
 
 
-def l2_norm(template) -> float:
-    """Euclidean norm of a template or array-like vector."""
-    return float(np.linalg.norm(as_vector(template, name="template")))
-
-
 def normalize(template) -> Template:
     """Scale to unit norm. The zero vector has no direction and is rejected."""
     arr = as_vector(template, name="template")
@@ -97,39 +91,8 @@ def read_template(path) -> Template:
     return _validated(values, bool(flag))
 
 
-def write_template_json(template: Template, path) -> None:
-    if not isinstance(template, Template):
-        template = Template(template)
-    doc = {"dim": template.dim, "unit": template.unit, "values": template.values.tolist()}
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def read_template_json(path) -> Template:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TemplateFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TemplateFormatError("template document must be a JSON object")
-    try:
-        dim = doc["dim"]
-        unit = doc["unit"]
-        values = doc["values"]
-    except KeyError as exc:
-        raise TemplateFormatError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
-        raise TemplateFormatError("values must be a list of numbers")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise TemplateFormatError(f"bad dimension {dim!r}")
-    if len(values) != dim:
-        raise TemplateFormatError(f"length mismatch: dimension {dim}, {len(values)} values")
-    if not isinstance(unit, bool):
-        raise TemplateFormatError(f"bad unit-norm flag {unit!r}")
-    return _validated(np.asarray(values, dtype=np.float64), unit)
-
-
 def _validated(values: np.ndarray, unit: bool) -> Template:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise TemplateFormatError("non-finite value in template payload")
     if unit and not math.isclose(float(np.linalg.norm(values)), 1.0, abs_tol=UNIT_NORM_TOL, rel_tol=0.0):
         raise TemplateFormatError(

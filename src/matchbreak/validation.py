@@ -18,7 +18,7 @@ def as_vector(x, *, name: str = "vector", dim: int | None = None) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(f"{name} has dimension {arr.size}, expected {dim}")
@@ -33,7 +33,7 @@ def as_matrix(x, *, name: str = "matrix", dim: int | None = None) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64, order="C")
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be a 2-D array of nonempty rows")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     if dim is not None and arr.shape[1] != dim:
         raise DimensionMismatchError(f"{name} have dimension {arr.shape[1]}, expected {dim}")

@@ -13,6 +13,7 @@ from matchbreak.errors import (
     OracleModeError,
     UnknownIdentityError,
 )
+from matchbreak import matcher
 from matchbreak.matcher import (
     MatchingOracle,
     Metric,
@@ -22,8 +23,10 @@ from matchbreak.matcher import (
     Threshold,
     calibrate_threshold,
     cosine_score,
+    score,
     sed_score,
 )
+from matchbreak.templates import Template
 
 
 def brute_sed(a, b):
@@ -456,3 +459,107 @@ class TestBatches:
         oracle.enroll("a", [1.0, 0.0])
         assert oracle.authenticate_score_many("a", np.zeros((3, 2))).tolist() == [1.0, 1.0, 1.0]
         assert oracle.queries_for("a") == 3
+
+
+def both_modes(metric, **kwargs):
+    """A score oracle and a decision oracle with the same target enrolled."""
+    threshold = Threshold(1.0 if metric is Metric.SED else 0.5, metric)
+    oracles = (make_oracle(metric, **kwargs), make_oracle(metric, OracleMode.BINARY, threshold, **kwargs))
+    for oracle in oracles:
+        oracle.enroll("a", [0.6, -0.8, 0.0])
+    return oracles
+
+
+class TestLateFiniteCheck:
+    """Probes are scored before they are checked for finiteness; a refusal
+    must still look exactly as if the check had run first."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused_and_not_counted(self, metric, bad):
+        for oracle in both_modes(metric, noise_sigma=0.5):
+            one = oracle.authenticate_score if oracle.mode is OracleMode.SCORE else oracle.authenticate_binary
+            many = (oracle.authenticate_score_many if oracle.mode is OracleMode.SCORE
+                    else oracle.authenticate_binary_many)
+            with pytest.raises(ValueError, match=r"^probe contains non-finite values$"):
+                one("a", [0.0, bad, 1.0])
+            with pytest.raises(ValueError, match=r"^probes contains non-finite values$"):
+                many("a", [[0.6, -0.8, 0.1], [0.0, 1.0, bad]])
+            assert oracle.ledger_snapshot() == (0, {})
+        # the refused probes drew no noise
+        refused, fresh = (both_modes(metric, noise_sigma=0.5)[0] for _ in range(2))
+        with pytest.raises(ValueError):
+            refused.authenticate_score("a", [bad, 0.0, 0.0])
+        assert refused.authenticate_score("a", [0.6, -0.8, 0.1]) == fresh.authenticate_score("a", [0.6, -0.8, 0.1])
+
+    def test_sed_overflow_of_a_finite_probe_is_served(self):
+        score_oracle, binary_oracle = both_modes(Metric.SED)
+        huge = [1e200, 0.0, 0.0]
+        with np.errstate(over="ignore"):
+            assert score_oracle.authenticate_score("a", huge) == math.inf
+            assert score_oracle.authenticate_score_many("a", [huge, [0.6, -0.8, 0.0]]).tolist() == [math.inf, 0.0]
+            assert binary_oracle.authenticate_binary("a", huge) is False
+            assert binary_oracle.authenticate_binary_many("a", [huge, [0.6, -0.8, 0.0]]).tolist() == [False, True]
+        assert score_oracle.ledger_snapshot() == binary_oracle.ledger_snapshot() == (3, {"a": 3})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cosine_zero_row_beside_a_non_finite_row(self, bad):
+        for oracle in both_modes(Metric.COSINE):
+            many = (oracle.authenticate_score_many if oracle.mode is OracleMode.SCORE
+                    else oracle.authenticate_binary_many)
+            for rows in ([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]], [[bad, 0.0, 0.0], [0.0, 0.0, 0.0]]):
+                with pytest.raises(ValueError, match="non-finite"):
+                    many("a", rows)
+            assert oracle.queries == 0
+        oracle = make_oracle(Metric.COSINE)
+        oracle.enroll("zero", np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle.authenticate_score("zero", [bad, 1.0, 0.0])
+        with pytest.raises(DegenerateTemplateError):
+            oracle.authenticate_score("zero", [1.0, 1.0, 0.0])
+        assert oracle.queries == 0
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_wrong_dimension_refused_before_scoring(self, metric, monkeypatch):
+        scored = []
+        real = matcher._score_rows
+        monkeypatch.setattr(matcher, "_score_rows", lambda *args: scored.append(args) or real(*args))
+        for oracle in both_modes(metric):
+            one = oracle.authenticate_score if oracle.mode is OracleMode.SCORE else oracle.authenticate_binary
+            many = (oracle.authenticate_score_many if oracle.mode is OracleMode.SCORE
+                    else oracle.authenticate_binary_many)
+            with pytest.raises(DimensionMismatchError, match="probe has dimension 2, expected 3"):
+                one("a", [1.0, 0.0])
+            with pytest.raises(DimensionMismatchError, match="probes have dimension 4, expected 3"):
+                many("a", np.ones((2, 4)))
+            # the validator's own order holds: non-finite before dimension
+            with pytest.raises(ValueError, match="non-finite"):
+                one("a", [np.nan, 0.0])
+            with pytest.raises(ValueError, match="1-D"):
+                one("a", [[0.6, -0.8, 0.0]])
+            assert oracle.queries == 0
+        assert scored == []
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_probe_forms_score_as_float64(metric):
+    """A ``Template``, a list and a float32 array are the float64 probe they
+    convert to, alone and in a batch."""
+    rng = np.random.default_rng(8)
+    enrolled = rng.standard_normal(16)
+    rows32 = rng.standard_normal((3, 16)).astype(np.float32)
+    rows = rows32.astype(np.float64)
+    expected = [score(metric, enrolled, r) for r in rows]
+    threshold = Threshold(float(np.median(expected)), metric)
+    score_oracle, binary_oracle = (make_oracle(metric, mode, threshold) for mode in OracleMode)
+    for oracle in (score_oracle, binary_oracle):
+        oracle.enroll("a", enrolled)
+    for form in (rows32[0], rows[0].tolist(), Template(rows[0]), rows[0]):
+        assert score_oracle.authenticate_score("a", form) == expected[0]
+        assert binary_oracle.authenticate_binary("a", form) is binary_oracle.threshold.accepts(expected[0])
+    for batch in (rows32, rows.tolist(), rows):
+        assert score_oracle.authenticate_score_many("a", batch).tolist() == expected
+        assert binary_oracle.authenticate_binary_many("a", batch).tolist() == [
+            binary_oracle.threshold.accepts(s) for s in expected]

@@ -1,5 +1,3 @@
-import json
-import math
 
 import numpy as np
 import pytest
@@ -9,35 +7,12 @@ from hypothesis import strategies as st
 from matchbreak.errors import DegenerateTemplateError, TemplateFormatError
 from matchbreak.templates import (
     Template,
-    l2_norm,
     normalize,
     read_template,
-    read_template_json,
     write_template,
-    write_template_json,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
-def brute_force_norm(values):
-    # independent route: plain summation, no numpy
-    return math.sqrt(sum(float(v) * float(v) for v in values))
-
-
-def test_l2_norm_pythagorean():
-    assert l2_norm([3.0, 4.0]) == 5.0
-
-
-def test_l2_norm_zero_vector():
-    assert l2_norm(np.zeros(8)) == 0.0
-
-
-def test_l2_norm_matches_brute_force():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        v = rng.standard_normal(16) * rng.uniform(0.01, 100)
-        assert l2_norm(v) == pytest.approx(brute_force_norm(v), rel=1e-12)
 
 
 def test_normalize_simple():
@@ -179,36 +154,3 @@ class TestBinaryFormat:
         with tempfile.NamedTemporaryFile(suffix=".tpl") as handle:
             write_template(t, handle.name)
             assert read_template(handle.name) == t
-
-
-class TestJsonFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        t = Template(rng.standard_normal(33))
-        path = tmp_path / "t.json"
-        write_template_json(t, path)
-        assert read_template_json(path) == t
-
-    def test_length_mismatch(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"dim": 3, "unit": False, "values": [1.0, 2.0]}))
-        with pytest.raises(TemplateFormatError, match="length mismatch"):
-            read_template_json(path)
-
-    def test_missing_field(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"dim": 2, "values": [1.0, 2.0]}))
-        with pytest.raises(TemplateFormatError, match="missing"):
-            read_template_json(path)
-
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text("{not json")
-        with pytest.raises(TemplateFormatError, match="invalid JSON"):
-            read_template_json(path)
-
-    def test_non_numeric_values(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"dim": 2, "unit": False, "values": [1.0, "x"]}))
-        with pytest.raises(TemplateFormatError, match="numbers"):
-            read_template_json(path)
