@@ -4,7 +4,7 @@ All attacks are black box: they interact with the oracle only through its
 ``authenticate_*`` calls. Their query cost is counted on the client, as the
 number of probes the oracle answered during the run, so it needs no ledger
 round trip and does not include other clients' queries. Probes that do not
-depend on each other's answers go out in one ``authenticate_*_many`` batch.
+depend on each other's answers go out in ``authenticate_*_many`` batches.
 Four families are implemented:
 
 * ``score-sed``: solve the distance equations released by a squared-Euclidean
@@ -307,18 +307,20 @@ def find_seed_match(
     breaking_set: BreakingSet,
     *,
     max_attempts: int | None = None,
-) -> tuple[Template, int]:
+) -> tuple[np.ndarray, int]:
     """Probe breaking-set rows in order until one is accepted.
 
-    Returns the accepted row as a template and the number of queries spent
-    (the accepted probe included). Raises :class:`NoFalseMatchError` when
-    the budget or the set runs out first.
+    Returns a read-only copy of the accepted row and the number of queries
+    spent (the accepted probe included). Raises :class:`NoFalseMatchError`
+    when the budget or the set runs out first.
     """
     _require(oracle, OracleMode.BINARY, None, "find_seed_match")
     rows = breaking_set.values[:max_attempts]
     for i, row in enumerate(rows):
         if oracle.authenticate_binary(claim, row):
-            return Template(row, unit=breaking_set.unit), i + 1
+            seed = as_vector(row, name="seed").copy()
+            seed.setflags(write=False)
+            return seed, i + 1
     raise NoFalseMatchError(f"no false match found in {len(rows)} attempts", attempts=len(rows))
 
 
@@ -363,17 +365,27 @@ def boundary_points(
     *,
     max_direction_redraws: int = 8,
 ) -> tuple[np.ndarray, int]:
-    """Bisect ``count`` rays from ``start`` to the boundary in lockstep.
+    """Bisect ``count`` rays from ``start`` to the boundary in blocks.
 
-    Each round of :func:`boundary_point` runs for all rays at once: one
-    batch of ``count`` probes per halving, directions drawn in row order.
-    A ray ``start + t * u`` is bisected on its scalar bracket ``[t_in,
-    t_out]``, from ``[0, 2 * radius]``; each halving sends a freshly built
-    batch at the midpoints, so an oracle may keep the arrays it was sent.
-    Rays that never left the region are redrawn together in the next pass,
-    and the radius estimate doubles after ``max_direction_redraws`` of
-    those. Returns the ``(count, d)`` points and the number of rounds
-    bisected, each of which cost ``precision`` queries.
+    Each round of :func:`boundary_point` runs for a block of rays at once:
+    one batch of the block's probes per halving. A ray ``start + t * u`` is
+    bisected on its scalar bracket ``[t_in, t_out]``, from ``[0, 2 *
+    radius]``; each halving sends a freshly built batch at the midpoints, so
+    an oracle may keep the arrays it was sent. A pass draws the directions
+    of all pending rays in row order, then splits them into the fewest
+    blocks of at most ``_BLOCK_ELEMENTS // d`` rows (sizes differing by at
+    most one), so that a block's directions, probes and the oracle's
+    differences stay in cache, and bisects one block fully before the next.
+    Rays are independent, so the points, rounds and query counts are those
+    of bisecting all pending rays in lockstep; only the order in which
+    probes reach the oracle is block-major. Under a noisy or query-limited
+    oracle that order decides which probe meets which noise draw and where
+    a lockout falls, once a pass spans several blocks (d >= 256 for
+    ``d + 1`` rays). Rays that never left the region are redrawn together
+    in the next pass, and the radius estimate doubles after
+    ``max_direction_redraws`` of those. Returns the ``(count, d)`` points
+    and the number of rounds bisected, each of which cost ``precision``
+    queries.
     """
     _require(oracle, OracleMode.BINARY, None, "boundary_points")
     center = as_vector(start, name="start")
@@ -382,25 +394,23 @@ def boundary_points(
     count = check_count(count, "count", minimum=1)
     check_count(max_direction_redraws, "max_direction_redraws", minimum=0)
 
+    block = max(1, _BLOCK_ELEMENTS // center.size)
     points = np.empty((count, center.size), dtype=np.float64)
     pending = np.arange(count)
     rounds = 0
     for radius in (radius_estimate, 2.0 * radius_estimate):
         for _ in range(max_direction_redraws + 1):
-            directions = random_unit_vectors(rng, center.size, len(pending))
-            t_in = np.zeros(len(pending))
-            t_out = np.full(len(pending), 2.0 * radius)
-            left_region = np.zeros(len(pending), dtype=bool)
-            for _ in range(precision):
-                t = 0.5 * (t_in + t_out)
-                probes = t[:, None] * directions
-                probes += center
-                accepted = oracle.authenticate_binary_many(claim, probes)
-                np.copyto(t_in, t, where=accepted)
-                np.copyto(t_out, t, where=~accepted)
-                left_region |= ~accepted
-            rounds += len(pending)
-            t = 0.5 * (t_in + t_out)
+            n = len(pending)
+            directions = random_unit_vectors(rng, center.size, n)
+            t = np.empty(n)
+            left_region = np.empty(n, dtype=bool)
+            blocks = -(-n // block)
+            for k in range(blocks):
+                rows = slice(k * n // blocks, (k + 1) * n // blocks)
+                t[rows], left_region[rows] = _bisect_rays(
+                    oracle, claim, center, directions[rows], 2.0 * radius, precision
+                )
+            rounds += n
             points[pending[left_region]] = t[left_region, None] * directions[left_region] + center
             pending = pending[~left_region]
             if not pending.size:
@@ -410,12 +420,31 @@ def boundary_points(
     )
 
 
+def _bisect_rays(oracle, claim, center, directions, t_max, precision):
+    """Bisect the rays ``center + t * u``, one per row ``u`` of
+    ``directions``, on ``[0, t_max]`` with ``precision`` batches. Returns
+    each ray's final midpoint ``t`` and whether any of its probes was
+    rejected."""
+    t_in = np.zeros(len(directions))
+    t_out = np.full(len(directions), t_max)
+    left_region = np.zeros(len(directions), dtype=bool)
+    for _ in range(precision):
+        t = 0.5 * (t_in + t_out)
+        probes = t[:, None] * directions
+        probes += center
+        accepted = oracle.authenticate_binary_many(claim, probes)
+        np.copyto(t_in, t, where=accepted)
+        np.copyto(t_out, t, where=~accepted)
+        left_region |= ~accepted
+    return 0.5 * (t_in + t_out), left_region
+
+
 @dataclass(frozen=True)
 class BoundarySearchAttack(Attack):
     """Reconstruct a template from a decision-only squared-distance oracle.
 
     One accepted seed is found by scanning the breaking set, then ``dim + 1``
-    boundary points are located by bisection, all rays in lockstep; they all
+    boundary points are located by bisection, rays in blocks; they all
     sit at the threshold distance from the enrolled template, which is
     recovered as their common sphere center. ``threshold_estimate`` is in
     score units (squared distance); its square root is the geometric radius
@@ -447,7 +476,7 @@ class BoundarySearchAttack(Attack):
     def _run(self, oracle, claim, rng, breaking_set):
         if breaking_set is None:
             raise ValueError(f"{self.name} requires a breaking set")
-        seed_member, seed_attempts = find_seed_match(
+        seed, seed_attempts = find_seed_match(
             oracle, claim, breaking_set, max_attempts=self.max_seed_attempts
         )
         d = self.dim
@@ -456,7 +485,7 @@ class BoundarySearchAttack(Attack):
         def next_points(count: int) -> np.ndarray:
             nonlocal redraw_rounds
             points, rounds = boundary_points(
-                oracle, claim, seed_member.values, float(np.sqrt(self.threshold_estimate)),
+                oracle, claim, seed, float(np.sqrt(self.threshold_estimate)),
                 self.precision, rng, count, max_direction_redraws=self.max_direction_redraws,
             )
             redraw_rounds += rounds - count

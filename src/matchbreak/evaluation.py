@@ -24,14 +24,12 @@ from .errors import ATTACK_FAILURES
 from .matcher import Metric, Threshold, score
 from .rng import make_rng
 from .synth import (
-    IdentityModel,
     build_scenario,
     calibrate_for_model,
     enrollment_template,
     gen_identity_model,
-    sample_template,
 )
-from .validation import as_vector, check_count, check_nonnegative, check_probability
+from .validation import check_count, check_nonnegative, check_probability
 
 CSV_COLUMNS = ("identity", "attack", "metric", "fmr", "loss", "queries", "time_s", "passed")
 
@@ -54,31 +52,6 @@ def passes_system(recovered, truth, threshold: Threshold) -> bool:
     """Would presenting the reconstruction to a matcher enrolled with
     ``truth`` be accepted under ``threshold``?"""
     return threshold.accepts(score(threshold.metric, truth, recovered))
-
-
-def scenario_disfe(
-    recovered,
-    model: IdentityModel,
-    identity,
-    threshold: Threshold,
-    *,
-    trials: int = 1000,
-    unit_norm: bool = True,
-    seed,
-) -> float:
-    """Acceptance rate of a reconstruction against fresh re-enrollments.
-
-    Models the reconstruction being replayed at other deployments where the
-    victim enrolled a different sample of the same identity.
-    """
-    check_count(trials, "trials", minimum=1)
-    probe = as_vector(recovered, name="recovered")
-    rng = make_rng(seed, "disfe") if not isinstance(seed, np.random.Generator) else seed
-    accepted = 0
-    for i in range(trials):
-        fresh = sample_template(model, identity, unit_norm=unit_norm, seed=rng)
-        accepted += threshold.accepts(score(threshold.metric, fresh.values, probe))
-    return accepted / trials
 
 
 @dataclass(frozen=True)

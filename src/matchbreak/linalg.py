@@ -9,11 +9,16 @@ The guard and the solve run on one BLAS thread (:func:`_one_blas_thread`).
 
 The exact condition number costs an SVD, about eight solves at d=512, so
 the guard first tries a cheap upper bound and takes the SVD only when the
-bound is above ``MAX_CONDITION / 2``. The bound comes from one solve of the
-row-scaled matrix ``A_s`` against :data:`_PROBES` fixed Gaussian columns
-``G`` (:func:`_probe_matrix`): with ``Y = A_s^-1 G``,
+bound is above ``MAX_CONDITION / 2``. The bound needs ``Y = A_s^-1 G`` for
+the row-scaled matrix ``A_s = diag(1/s) a`` and :data:`_PROBES` fixed
+Gaussian columns ``G`` (:func:`_probe_matrix`):
 
     B = ||A_s||_F ||Y||_F / sqrt(_PROBES / 2).
+
+Since ``A_s^-1 = a^-1 diag(s)``, ``Y`` is ``a^-1 (diag(s) G)``, so one LU
+factorisation of ``a`` solves ``[b | diag(s) G]``: column 0 is the
+solution and the other columns are ``Y``. A system the bound cannot clear
+goes to the SVD and, if accepted, keeps that column 0 too.
 
 ``||Y||_F^2`` is at least ``sigma_max(A_s^-1)^2`` times a chi-square
 variable with :data:`_PROBES` degrees of freedom, and ``||A_s||_F`` is at
@@ -22,14 +27,14 @@ least ``sigma_max(A_s)``, so ``B >= kappa_2 sqrt(chi2 / 32)``. A system with
 the chi-square draw is below 8, which has probability about 1.5e-18. ``G``
 comes from its own fixed Philox stream, so it is independent of every
 matrix the attacks draw; the bound never changes the verdict of the exact
-rule except with that probability, and it never touches the solution,
-which comes from its own ``np.linalg.solve(a, b)``.
+rule except with that probability.
 
 Dividing by ``sqrt(_PROBES)`` would only estimate ``||A_s||_F ||A_s^-1||_F``;
 ``sqrt(_PROBES / 2)`` is what makes ``B`` a bound. 64 columns make the tail
-that thin while their triangular solves still cost less than the LU
-factorisation they follow: at d=512 on one thread of a 2-vCPU VM the probe
-bound took 7 to 10 ms, the inverse it replaces 25 to 31 ms.
+that thin while their triangular solves cost about as much as the LU
+factorisation they share: at d=512 on one thread of a 2-vCPU VM,
+``np.linalg.solve`` took 5.7 ms against one right-hand side and 6.1 ms
+against 65, where the former separate bound and solve factorised twice.
 """
 
 from __future__ import annotations
@@ -77,38 +82,52 @@ def solve_linear_system(a, b) -> np.ndarray:
         raise ValueError(f"coefficient matrix must be square and nonempty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficient matrix contains non-finite values")
-    b = as_vector(b, name="right-hand side", dim=a.shape[0])
+    return _guarded_solve(a, as_vector(b, name="right-hand side", dim=a.shape[0]))
 
+
+def _guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`solve_linear_system` for a finite square ``a`` and a finite
+    ``b`` of its size, which the caller has checked."""
     scale = np.max(np.abs(a), axis=1)
     if np.any(scale == 0.0):
         raise SingularSystemError("singular system: zero row in coefficient matrix")
-    scaled = a / scale[:, None]
     with _one_blas_thread():
-        # The exact condition number costs an SVD; the bound costs one
-        # solve and clears the systems well inside the limit, which is
+        # The exact condition number costs an SVD; the bound comes with the
+        # solution and clears the systems well inside the limit, which is
         # nearly all.
-        if not _condition_bound(scaled) <= MAX_CONDITION / 2:
-            kappa = float(np.linalg.cond(scaled))
+        x, bound = _solve_and_bound(a, b, scale)
+        if not bound <= MAX_CONDITION / 2:
+            kappa = float(np.linalg.cond(a / scale[:, None]))
             if not kappa <= MAX_CONDITION:
                 raise SingularSystemError(
                     f"singular system: condition number {kappa:.3g} exceeds {MAX_CONDITION:.3g}"
                 )
-        return np.linalg.solve(a, b)
+            if x is None:
+                return np.linalg.solve(a, b)
+        return x
 
 
-def _condition_bound(a: np.ndarray) -> float:
-    """``||A||_F ||A^-1 G||_F / sqrt(32)`` for the fixed probe matrix ``G``
-    of :func:`_probe_matrix`: at least the 2-norm condition number of ``A``
-    except with probability about 1.5e-18 (a chi-square with 64 degrees of
-    freedom below 8; see the module docstring), and infinite when ``A``
-    cannot be solved. ``G`` is fixed and drawn independently of the
-    attacks' streams. On the sphere systems of 40 d=512 ``binary-ours``
-    recoveries it was at most 3.4 times the condition number."""
+def _solve_and_bound(a, b, scale):
+    """Solve ``a`` against ``[b | diag(scale) G]`` in one factorisation, for
+    the fixed probe matrix ``G`` of :func:`_probe_matrix` and ``scale[i]``
+    the largest magnitude in row ``i`` of ``a``. With ``A_s`` the matrix
+    ``a`` with each row divided by its scale, returns ``a^-1 b`` and
+    ``||A_s||_F ||A_s^-1 G||_F / sqrt(32)``, which is at least the 2-norm
+    condition number of ``A_s`` except with probability about 1.5e-18 (a
+    chi-square with 64 degrees of freedom below 8; see the module
+    docstring), or ``(None, inf)`` when LAPACK cannot factorise ``a``. On the sphere systems of 40 d=512
+    ``binary-ours`` recoveries the bound was at most 3.4 times the
+    condition number."""
+    n = a.shape[0]
+    rhs = np.empty((n, 1 + _PROBES))
+    rhs[:, 0] = b
+    np.multiply(scale[:, None], _probe_matrix(n), out=rhs[:, 1:])
     try:
-        probed = np.linalg.solve(a, _probe_matrix(a.shape[0]))
+        solved = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        return np.inf
-    return float(np.linalg.norm(a) * np.linalg.norm(probed) / _PROBE_DIVISOR)
+        return None, np.inf
+    bound = float(np.linalg.norm(a / scale[:, None]) * np.linalg.norm(solved[:, 1:]) / _PROBE_DIVISOR)
+    return solved[:, 0].copy(), bound
 
 
 @functools.lru_cache(maxsize=8)
@@ -211,5 +230,7 @@ def sphere_center(points, sq_distances=None) -> np.ndarray:
     if sq_distances is not None:
         s = as_vector(sq_distances, name="sq_distances", dim=n)
         rhs = rhs + (s[:-1] - s[-1])
-    coeffs = 2.0 * (pts[-1] - pts[:-1])
-    return solve_linear_system(coeffs, rhs)
+    # Finite points make finite coefficients unless their squared norms
+    # overflow, and then the right-hand side is not finite.
+    rhs = as_vector(rhs, name="right-hand side")
+    return _guarded_solve(2.0 * (pts[-1] - pts[:-1]), rhs)

@@ -296,7 +296,7 @@ def test_criterion_06_boundary_points_land_inside_the_bracket(model16, cal16):
         oracle = _binary_oracle(model16, target, cal16.threshold)
         breaking_set = gen_breaking_set(model16, target, 1500, seed=make_rng(6, "bs", target))
         seed_member, _ = find_seed_match(oracle, str(target), breaking_set)
-        anchors.append((oracle, str(target), seed_member.values, truth.values))
+        anchors.append((oracle, str(target), seed_member, truth.values))
 
     worst_fraction = 0.0
     violations = 0

@@ -26,8 +26,13 @@ from matchbreak.matcher import (
     sed_score,
 )
 from matchbreak.rng import make_rng, random_unit_vector, random_unit_vectors
-from matchbreak.templates import Template
-from matchbreak.synth import enrollment_template, gen_breaking_set, gen_identity_model, impostor_scores
+from matchbreak.synth import (
+    _BLOCK_ELEMENTS,
+    enrollment_template,
+    gen_breaking_set,
+    gen_identity_model,
+    impostor_scores,
+)
 from matchbreak.matcher import calibrate_threshold
 
 
@@ -122,10 +127,10 @@ class TestFindSeedMatch:
         oracle = binary_oracle(truth.values, threshold.value)
         member, attempts = find_seed_match(oracle, "t", bs)
         assert attempts == expected + 1
-        assert np.array_equal(member.values, bs.values[expected])
+        assert np.array_equal(member, bs.values[expected])
         assert oracle.queries == attempts
 
-    def test_returns_a_template_of_the_row_with_the_set_unit_flag(self, setup16):
+    def test_returns_the_row_read_only_for_either_unit_flag(self, setup16):
         model, _ = setup16
         truth = enrollment_template(model, 3)
         for unit_norm in (True, False):
@@ -133,8 +138,9 @@ class TestFindSeedMatch:
             oracle = binary_oracle(truth.values, 1e6)  # the first row is accepted
             member, attempts = find_seed_match(oracle, "t", bs)
             assert attempts == 1
-            assert isinstance(member, Template)
-            assert member == Template(bs.values[0], unit=unit_norm)
+            assert isinstance(member, np.ndarray) and member.dtype == np.float64
+            assert np.array_equal(member, bs.values[0])
+            assert not member.flags.writeable
 
     def test_budget_exhaustion(self, setup16):
         model, _ = setup16
@@ -349,7 +355,7 @@ class TestBoundarySearchAttack:
 
 
 class TestLockstep:
-    """The lockstep bisection against a per-point reference loop."""
+    """The batched bisection against per-point and lockstep reference loops."""
 
     @pytest.fixture(scope="class")
     def setup24(self):
@@ -363,7 +369,7 @@ class TestLockstep:
         rng = make_rng(seed)
         member, _ = find_seed_match(oracle, claim, breaking_set)
         radius = math.sqrt(attack.threshold_estimate)
-        points = np.stack([boundary_point(oracle, claim, member.values, radius, attack.precision, rng)
+        points = np.stack([boundary_point(oracle, claim, member, radius, attack.precision, rng)
                            for _ in range(attack.dim + 1)])
         return points, attacks_module.sphere_center(points)
 
@@ -439,6 +445,84 @@ class TestLockstep:
         assert len(oracle.kept) == 10 * 6
         for kept, answered in oracle.kept:
             assert np.array_equal(kept, answered)
+
+    @staticmethod
+    def lockstep(oracle, claim, start, radius_estimate, precision, rng, count, max_direction_redraws=8):
+        """``boundary_points`` with every pending ray of a pass in one batch
+        per halving, as it bisected before it went block by block."""
+        center = np.asarray(start, dtype=np.float64)
+        points = np.empty((count, center.size))
+        pending = np.arange(count)
+        rounds = 0
+        for radius in (radius_estimate, 2.0 * radius_estimate):
+            for _ in range(max_direction_redraws + 1):
+                directions = random_unit_vectors(rng, center.size, len(pending))
+                t_in = np.zeros(len(pending))
+                t_out = np.full(len(pending), 2.0 * radius)
+                left_region = np.zeros(len(pending), dtype=bool)
+                for _ in range(precision):
+                    t = 0.5 * (t_in + t_out)
+                    probes = t[:, None] * directions
+                    probes += center
+                    accepted = oracle.authenticate_binary_many(claim, probes)
+                    np.copyto(t_in, t, where=accepted)
+                    np.copyto(t_out, t, where=~accepted)
+                    left_region |= ~accepted
+                rounds += len(pending)
+                t = 0.5 * (t_in + t_out)
+                points[pending[left_region]] = t[left_region, None] * directions[left_region] + center
+                pending = pending[~left_region]
+                if not pending.size:
+                    return points, rounds
+        raise OutsidePointError("no probe direction left the acceptance region")
+
+    def test_blocks_equal_the_lockstep_loop_with_redraws(self, monkeypatch):
+        """At d=256 a pass of 257 rays spans two blocks. From a start 0.3
+        off the centre of a radius-0.5 sphere the boundary lies about 0.4
+        out, so a first bracket of 2 * 0.2 misses it for about half the rays
+        and they are redrawn. Points, rounds and queries equal the lockstep
+        loop's bit for bit; every batch fits a block, and the blocks of a
+        pass differ in size by at most one row."""
+        d, count, precision = 256, 257, 20
+        truth = random_unit_vector(make_rng(30), d)
+        start = truth + 0.3 * random_unit_vector(make_rng(31), d)
+        block = max(1, _BLOCK_ELEMENTS // d)
+        log = []
+
+        class Recording(MatchingOracle):
+            def authenticate_binary_many(self, claim, probes):
+                log.append(("batch", len(probes)))
+                return super().authenticate_binary_many(claim, probes)
+
+        def drawing(rng, dim, n):
+            log.append(("draw", n))
+            return random_unit_vectors(rng, dim, n)
+
+        oracle = Recording(OracleConfig(metric=Metric.SED, mode=OracleMode.BINARY,
+                                        threshold=Threshold(0.25, Metric.SED)))
+        oracle.enroll("t", truth)
+        monkeypatch.setattr(attacks_module, "random_unit_vectors", drawing)
+        points, rounds = attacks_module.boundary_points(oracle, "t", start, 0.2, precision, make_rng(32), count)
+        monkeypatch.undo()
+        reference = binary_oracle(truth, 0.25)
+        expected, expected_rounds = self.lockstep(reference, "t", start, 0.2, precision, make_rng(32), count)
+        assert np.array_equal(points, expected)
+        assert rounds == expected_rounds > count  # rays were redrawn
+        assert oracle.queries == reference.queries == rounds * precision
+
+        passes = []
+        for kind, n in log:
+            if kind == "draw":
+                passes.append((n, []))
+            else:
+                passes[-1][1].append(n)
+        assert len(passes) > 1 and passes[0][0] == count
+        for n, batches in passes:
+            sizes = batches[::precision]
+            assert batches == [size for size in sizes for _ in range(precision)]
+            assert sum(sizes) == n and len(sizes) == -(-n // block)
+            assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+        assert sorted(passes[0][1][::precision]) == [128, 129]
 
     def test_queries_are_counted_on_the_client(self, setup24):
         """The attack never reads the oracle's ledger, so the count needs no

@@ -15,13 +15,11 @@ from matchbreak.evaluation import (
     reconstruction_loss,
     report_fingerprint,
     run_experiment,
-    scenario_disfe,
     write_convergence_csv,
     write_report_csv,
     write_report_json,
 )
 from matchbreak.matcher import Metric, Threshold
-from matchbreak.synth import gen_identity_model
 
 
 class TestLosses:
@@ -41,33 +39,6 @@ class TestLosses:
         t = Threshold(25.0, Metric.SED)
         assert passes_system([0.0, 0.0], [3.0, 4.0], t)
         assert not passes_system([0.0, 0.0], [3.0, 4.001], t)
-
-
-@pytest.fixture(scope="module")
-def model():
-    return gen_identity_model(32, 20, within_noise_sigma=0.05, seed=6)
-
-
-class TestScenarioDisfe:
-    def test_good_reconstruction_mostly_accepted(self, model):
-        threshold = Threshold(0.5, Metric.SED)
-        rate = scenario_disfe(model.centers[0], model, 0, threshold, trials=500, seed=1)
-        assert rate > 0.95
-
-    def test_impostor_reconstruction_mostly_rejected(self, model):
-        threshold = Threshold(0.05, Metric.SED)
-        rate = scenario_disfe(model.centers[1], model, 0, threshold, trials=500, seed=1)
-        assert rate < 0.05
-
-    def test_deterministic(self, model):
-        threshold = Threshold(0.5, Metric.SED)
-        a = scenario_disfe(model.centers[0], model, 0, threshold, trials=100, seed=4)
-        b = scenario_disfe(model.centers[0], model, 0, threshold, trials=100, seed=4)
-        assert a == b
-
-    def test_trials_validated(self, model):
-        with pytest.raises(ValueError):
-            scenario_disfe(model.centers[0], model, 0, Threshold(0.5, Metric.SED), trials=0, seed=1)
 
 
 def tiny_config(**overrides):

@@ -10,7 +10,14 @@ import pytest
 from matchbreak import linalg
 from matchbreak.attacks import boundary_points
 from matchbreak.errors import SingularSystemError
-from matchbreak.linalg import MAX_CONDITION, _condition_bound, solve_linear_system, sphere_center
+from matchbreak.linalg import (
+    _PROBES,
+    MAX_CONDITION,
+    _probe_matrix,
+    _solve_and_bound,
+    solve_linear_system,
+    sphere_center,
+)
 from matchbreak.matcher import MatchingOracle, Metric, OracleConfig, OracleMode, Threshold
 from matchbreak.rng import make_rng, random_unit_vector
 
@@ -167,40 +174,85 @@ class TestSphereCenter:
             sphere_center(pts, [1.0, 2.0])
 
 
+def _row_max(a):
+    return np.max(np.abs(a), axis=1)
+
+
+def _scaled(a):
+    return a / _row_max(a)[:, None]
+
+
+def _bound(a):
+    """The guard's probe bound on the row-scaled condition number of ``a``."""
+    return _solve_and_bound(a, np.zeros(len(a)), _row_max(a))[1]
+
+
+def _backward_error(a, x, b):
+    """Normwise backward error of ``x`` as a solution of ``a @ x == b``."""
+    residual = np.linalg.norm(b - a @ x, np.inf)
+    return residual / (np.linalg.norm(a, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
+
+
+def _check_accepted_solution(a, b, x):
+    """An accepted solution is column 0 of LAPACK's one-thread solve of
+    ``a`` against ``[b | D G]`` (``D`` the row maxima, ``G`` the probe
+    columns), bit for bit, and as good a solution of ``a @ x == b`` as the
+    one-column solve's, by the backward-error bound of an LU solve."""
+    joint = np.column_stack([b, _row_max(a)[:, None] * _probe_matrix(len(a))])
+    with linalg._one_blas_thread():
+        assert np.array_equal(x, np.linalg.solve(a, joint)[:, 0])
+        alone = np.linalg.solve(a, b)
+    limit = len(a) * np.finfo(float).eps
+    assert _backward_error(a, x, b) <= limit
+    assert _backward_error(a, alone, b) <= limit
+
+
 @pytest.mark.parametrize(("kappa", "cleared_by_bound", "accepted"), [
     (1e3, True, True),
     (4e6, False, True),
     (9.9e6, False, True),
     (1.01e7, False, False),
 ])
-def test_guard_decides_as_the_exact_condition_number(kappa, cleared_by_bound, accepted):
+def test_guard_decides_as_the_exact_condition_number(kappa, cleared_by_bound, accepted, monkeypatch):
     """The cheap probe bound only ever clears a system early; near the
     limit the exact condition number decides, so the verdict is always that
-    of the exact rule on the row-scaled matrix."""
+    of the exact rule on the row-scaled matrix. Either way the system is
+    factorised once, and an accepted one keeps that solution."""
     d = 64
     rng = np.random.default_rng(int(kappa))
     u, _ = np.linalg.qr(rng.standard_normal((d, d)))
     v, _ = np.linalg.qr(rng.standard_normal((d, d)))
     a = (u * np.geomspace(1.0, 1.0 / kappa, d)) @ v.T
     b = a @ rng.standard_normal(d)
-    scaled = a / np.max(np.abs(a), axis=1)[:, None]
-    assert (_condition_bound(scaled) <= MAX_CONDITION / 2) == cleared_by_bound
-    assert bool(np.linalg.cond(scaled) <= MAX_CONDITION) == accepted
+    assert (_bound(a) <= MAX_CONDITION / 2) == cleared_by_bound
+    assert bool(np.linalg.cond(_scaled(a)) <= MAX_CONDITION) == accepted
+    real_solve = np.linalg.solve
+    solves = []
+
+    def counting_solve(a, b):
+        solves.append(np.shape(b))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     if accepted:
-        assert np.array_equal(solve_linear_system(a, b), np.linalg.solve(a, b))
+        x = solve_linear_system(a, b)
+        monkeypatch.undo()
+        _check_accepted_solution(a, b, x)
     else:
         with pytest.raises(SingularSystemError, match="condition number"):
             solve_linear_system(a, b)
+    assert solves == [(d, 1 + _PROBES)]
 
 
 def test_guard_falls_back_when_the_probe_solve_fails(monkeypatch):
-    """When the probe solve (the one with a matrix right-hand side) fails,
-    the exact condition number decides, both ways."""
+    """When the joint solve (the one against ``[b | D G]``) fails, the
+    bound is infinite and the exact condition number decides, both ways;
+    an accepted system is then solved against ``b`` alone."""
     real_solve, real_cond = np.linalg.solve, np.linalg.cond
     conds = []
 
-    def failing_probe_solve(a, b):
-        if np.ndim(b) == 2:
+    def failing_joint_solve(a, b):
+        if np.shape(b) == (len(a), 1 + _PROBES):
             raise np.linalg.LinAlgError("Singular matrix")
         return real_solve(a, b)
 
@@ -208,9 +260,9 @@ def test_guard_falls_back_when_the_probe_solve_fails(monkeypatch):
         conds.append(a.shape)
         return real_cond(a)
 
-    monkeypatch.setattr(np.linalg, "solve", failing_probe_solve)
+    monkeypatch.setattr(np.linalg, "solve", failing_joint_solve)
     monkeypatch.setattr(np.linalg, "cond", counting_cond)
-    assert np.isinf(_condition_bound(np.eye(2)))
+    assert np.isinf(_bound(np.eye(2)))
     assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
     assert conds == [(2, 2)]
     with pytest.raises(SingularSystemError, match="condition number"):
@@ -218,19 +270,14 @@ def test_guard_falls_back_when_the_probe_solve_fails(monkeypatch):
     assert conds == [(2, 2), (2, 2)]
 
 
-def _scaled(a):
-    return a / np.max(np.abs(a), axis=1)[:, None]
-
-
 def _guard_verdict(a, b):
     """Whether ``solve_linear_system`` accepts ``a``; an accepted solution
-    must be LAPACK's on one thread, bit for bit."""
+    is checked by :func:`_check_accepted_solution`."""
     try:
         x = solve_linear_system(a, b)
     except SingularSystemError:
         return False
-    with linalg._one_blas_thread():
-        assert np.array_equal(x, np.linalg.solve(a, b))
+    _check_accepted_solution(a, b, x)
     return True
 
 
@@ -247,7 +294,7 @@ def test_guard_bound_holds_on_random_systems():
         a = (u * np.geomspace(1.0, 1.0 / kappa, d)) @ v.T
         a *= np.exp(rng.uniform(-5.0, 5.0, d))[:, None]
         scaled_kappa = np.linalg.cond(_scaled(a))
-        bound = _condition_bound(_scaled(a))
+        bound = _bound(a)
         assert bound >= scaled_kappa
         assert _guard_verdict(a, rng.standard_normal(d)) == (scaled_kappa <= MAX_CONDITION)
         cleared += bound <= MAX_CONDITION / 2
@@ -269,7 +316,7 @@ def test_guard_bound_holds_on_real_sphere_systems():
         points, _ = boundary_points(oracle, "t", start, np.sqrt(threshold), 20, make_rng(seed), d + 1)
         a = 2.0 * (points[-1] - points[:-1])
         scaled_kappa = np.linalg.cond(_scaled(a))
-        bound = _condition_bound(_scaled(a))
+        bound = _bound(a)
         assert scaled_kappa <= bound <= min(10.0 * scaled_kappa, MAX_CONDITION / 2)
         sq_norms = np.einsum("ij,ij->i", points, points)
         assert _guard_verdict(a, sq_norms[-1] - sq_norms[:-1])
@@ -293,7 +340,7 @@ def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", spying_solve)
     try:
         assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
-        assert seen == [("solve", 1), ("solve", 1)]
+        assert seen == [("solve", 1)]
         assert get() == before
         with pytest.raises(SingularSystemError):
             solve_linear_system([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 1.0])

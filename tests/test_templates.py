@@ -39,10 +39,10 @@ def test_normalize_scale_invariant(values, scale):
     arr = np.asarray(values)
     with np.errstate(over="ignore"):
         scaled = arr * scale
-    if np.linalg.norm(arr) == 0.0 or not np.all(np.isfinite(scaled)):
-        return
-    if np.linalg.norm(scaled) == 0.0:
-        return
+        if np.linalg.norm(arr) == 0.0 or not np.all(np.isfinite(scaled)):
+            return
+        if np.linalg.norm(scaled) == 0.0:
+            return
     a = normalize(arr)
     b = normalize(scaled)
     assert np.allclose(a.values, b.values, rtol=0, atol=1e-9)
