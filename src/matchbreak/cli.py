@@ -233,7 +233,7 @@ def cmd_attack(args) -> int:
     passed = passes_system(result.recovered.values, truth.values, threshold)
     write_template(result.recovered, out_dir / "recovered.tpl")
     doc.update(queries=result.queries_used, time_s=result.wall_time_seconds,
-               loss=loss, passed=passed, params=_json_safe(result.params))
+               loss=loss, passed=passed, params=result.params)
     _write_json(out_dir / "result.json", doc)
     print(f"attack={result.attack_name} target={args.target} queries={result.queries_used} "
           f"loss={loss:.6e} passed={str(passed).lower()} time_s={result.wall_time_seconds:.3f}")
@@ -276,20 +276,6 @@ def cmd_report(args) -> int:
 
 def _write_json(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, float, str)):
-        return value
-    if hasattr(value, "item"):
-        return value.item()
-    return str(value)
 
 
 class UsageError(ValueError):

@@ -22,7 +22,7 @@ import numpy as np
 from .attacks import ATTACKS, make_attack
 from .errors import ATTACK_FAILURES
 from .matcher import Metric, Threshold, score
-from .rng import make_rng
+from .rng import check_seed, make_rng
 from .synth import (
     build_scenario,
     calibrate_for_model,
@@ -96,40 +96,26 @@ class ExperimentConfig:
         for a in attacks:
             if "name" not in a:
                 raise ValueError(f"attack entry without a name: {a!r}")
-            if a["name"] not in ATTACKS:
-                known = ", ".join(sorted(ATTACKS))
-                raise ValueError(f"unknown attack {a['name']!r}; known attacks: {known}")
             if "dim" in a:
                 raise ValueError(f"attack entry {a!r} sets 'dim'; the dimension comes from the config's dim")
+            # Build the attack now, so that a bad name or parameter is refused
+            # before anything is drawn; 1.0 stands in for the calibrated threshold.
+            params = dict(a)
+            make_attack(params.pop("name"), dim=self.dim, threshold=1.0, **params)
         object.__setattr__(self, "attacks", attacks)
+        if self.query_limit is not None:
+            check_count(self.query_limit, "query_limit", minimum=1)
+        if not isinstance(self.unit_norm, bool):
+            raise ValueError(f"unit_norm must be true or false, got {self.unit_norm!r}")
+        check_seed(self.model_seed)
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "num_identities": self.num_identities,
-            "within_noise_sigma": self.within_noise_sigma,
-            "center_concentration": self.center_concentration,
-            "metric": self.metric.value,
-            "fmr_targets": list(self.fmr_targets),
-            "num_targets": self.num_targets,
-            "attacks": [dict(a) for a in self.attacks],
-            "oracle_noise_sigma": self.oracle_noise_sigma,
-            "query_limit": self.query_limit,
-            "calibration_pairs": self.calibration_pairs,
-            "breaking_set_size": self.breaking_set_size,
-            "unit_norm": self.unit_norm,
-            "model_seed": self.model_seed,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        kwargs = dict(doc)
-        if "fmr_targets" in kwargs:
-            kwargs["fmr_targets"] = tuple(kwargs["fmr_targets"])
-        if "attacks" in kwargs:
-            kwargs["attacks"] = tuple(dict(a) for a in kwargs["attacks"])
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -144,19 +130,6 @@ class ExperimentRow:
     passed: bool
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "attack": self.attack,
-            "metric": self.metric.value,
-            "fmr": self.fmr,
-            "loss": self.loss,
-            "queries": self.queries,
-            "time_s": self.time_s,
-            "passed": self.passed,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class AggregateStats:
@@ -170,9 +143,6 @@ class AggregateStats:
     success_rate: float
     mean_queries: float
     mean_time_s: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -317,6 +287,8 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, Metric):
+        return value.value
     return str(value)
 
 
@@ -325,7 +297,7 @@ def write_report_csv(report: ExperimentReport, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for row in report.rows:
-            doc = row.to_dict()
+            doc = asdict(row)
             writer.writerow([_csv_cell(doc[col]) for col in CSV_COLUMNS])
 
 
@@ -341,16 +313,7 @@ def write_convergence_csv(report: ExperimentReport, path) -> None:
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "format": _REPORT_FORMAT,
-        "config": report.config.to_dict(),
-        "rows": [row.to_dict() for row in report.rows],
-        "aggregates": [agg.to_dict() for agg in report.aggregates],
-        "baseline_curves": [
-            {"identity": c.identity, "fmr": c.fmr, "points": [list(p) for p in c.points]}
-            for c in report.baseline_curves
-        ],
-    }
+    return {"format": _REPORT_FORMAT, **asdict(report)}
 
 
 def write_report_json(report: ExperimentReport, path) -> None:
@@ -398,7 +361,7 @@ def _aggregates_differ(stored, recomputed) -> bool:
         return True
     for a, b in zip(sorted(stored, key=lambda s: (s.attack, s.fmr)),
                     sorted(recomputed, key=lambda s: (s.attack, s.fmr))):
-        da, db = a.to_dict(), b.to_dict()
+        da, db = asdict(a), asdict(b)
         for key, va in da.items():
             vb = db[key]
             if isinstance(va, float) and isinstance(vb, float):

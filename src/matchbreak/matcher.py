@@ -23,7 +23,7 @@ from .errors import (
     UnknownIdentityError,
 )
 from .rng import SeedLike, as_generator
-from .validation import as_matrix, as_vector, check_nonnegative, check_probability, check_same_dim
+from .validation import as_matrix, as_vector, check_count, check_nonnegative, check_probability, check_same_dim
 
 
 class Metric(str, Enum):
@@ -196,37 +196,15 @@ class OracleConfig:
                 f"threshold metric {self.threshold.metric.value!r} does not match oracle metric {metric.value!r}"
             )
         if self.query_limit is not None:
-            if isinstance(self.query_limit, bool) or not isinstance(self.query_limit, (int, np.integer)):
-                raise TypeError("query_limit must be an integer or None")
-            if self.query_limit < 1:
-                raise ValueError(f"query_limit must be >= 1, got {self.query_limit}")
-            object.__setattr__(self, "query_limit", int(self.query_limit))
-
-
-class QueryLedger:
-    """Counts served authentication queries, in total and per claimed identity."""
-
-    def __init__(self):
-        self.total = 0
-        self.per_identity: dict[str, int] = {}
-
-    def record(self, identity: str, count: int = 1) -> None:
-        self.total += count
-        self.per_identity[identity] = self.per_identity.get(identity, 0) + count
-
-    def snapshot(self) -> tuple[int, dict[str, int]]:
-        return self.total, dict(self.per_identity)
-
-    def reset(self) -> None:
-        self.total = 0
-        self.per_identity = {}
+            object.__setattr__(self, "query_limit", check_count(self.query_limit, "query_limit", minimum=1))
 
 
 class MatchingOracle:
     """A simulated matcher holding enrolled templates privately.
 
     Authentication calls are serialized with a lock, so one instance can be
-    shared across threads; the ledger then reflects the interleaved total.
+    shared across threads; the ledger, the served queries per claimed
+    identity, then reflects the interleaved total.
     Queries that fail validation (unknown identity, wrong dimension) are not
     served and therefore not counted. With a ``query_limit``, each identity
     is locked out once it has been queried that many times.
@@ -242,7 +220,7 @@ class MatchingOracle:
             raise TypeError("config must be an OracleConfig")
         self._config = config
         self._enrolled: dict[str, np.ndarray] = {}
-        self._ledger = QueryLedger()
+        self._ledger: dict[str, int] = {}
         self._noise_rng = as_generator(noise_seed)
         self._lock = threading.Lock()
 
@@ -265,19 +243,19 @@ class MatchingOracle:
     @property
     def queries(self) -> int:
         with self._lock:
-            return self._ledger.total
+            return sum(self._ledger.values())
 
     def queries_for(self, identity: str) -> int:
         with self._lock:
-            return self._ledger.per_identity.get(identity, 0)
+            return self._ledger.get(identity, 0)
 
     def ledger_snapshot(self) -> tuple[int, dict[str, int]]:
         with self._lock:
-            return self._ledger.snapshot()
+            return sum(self._ledger.values()), dict(self._ledger)
 
     def reset_ledger(self) -> None:
         with self._lock:
-            self._ledger.reset()
+            self._ledger.clear()
 
     @property
     def enrolled_identities(self) -> tuple[str, ...]:
@@ -333,7 +311,7 @@ class MatchingOracle:
             if identity not in self._enrolled:
                 raise UnknownIdentityError(f"unknown identity {identity!r}")
             limit = self._config.query_limit
-            left = None if limit is None else limit - self._ledger.per_identity.get(identity, 0)
+            left = None if limit is None else limit - self._ledger.get(identity, 0)
             if left == 0:
                 raise LockedOutError(f"locked out: query limit of {limit} reached for {identity!r}")
             enrolled = self._enrolled[identity]
@@ -356,13 +334,13 @@ class MatchingOracle:
             if not batch:
                 if sigma > 0.0:
                     values = values + sigma * self._noise_rng.standard_normal()
-                self._ledger.record(identity)
+                self._ledger[identity] = self._ledger.get(identity, 0) + 1
                 return values
             n = len(values) if left is None else min(len(values), left)
             values = values[:n]
             if sigma > 0.0:
                 values = values + sigma * self._noise_rng.standard_normal(n)
-            self._ledger.record(identity, n)
+            self._ledger[identity] = self._ledger.get(identity, 0) + n
             if n < len(rows):
                 raise LockedOutError(
                     f"locked out: query limit of {limit} reached for {identity!r} "
@@ -374,5 +352,5 @@ class MatchingOracle:
     def __repr__(self) -> str:
         return (
             f"MatchingOracle(metric={self._config.metric.value!r}, mode={self._config.mode.value!r}, "
-            f"enrolled={len(self._enrolled)}, queries={self._ledger.total})"
+            f"enrolled={len(self._enrolled)}, queries={sum(self._ledger.values())})"
         )

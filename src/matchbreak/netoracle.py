@@ -205,6 +205,9 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
         raise ValueError(f"unknown server config keys: {', '.join(unknown)}")
     if "model" not in doc:
         raise ValueError("server config needs a 'model' directory")
+    unit_norm = doc.get("unit_norm", True)
+    if not isinstance(unit_norm, bool):
+        raise ValueError(f"server config 'unit_norm' must be true or false, got {unit_norm!r}")
     base = Path(base_dir) if base_dir is not None else Path(".")
     model = load_model(base / doc["model"])
     identities = doc.get("identities")
@@ -220,7 +223,7 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
         noise_sigma=float(doc.get("noise_sigma", 0.0)),
         noise_seed=int(doc.get("noise_seed", 0)),
         query_limit=doc.get("query_limit"),
-        unit_norm=bool(doc.get("unit_norm", True)),
+        unit_norm=unit_norm,
     )
     bind = (doc.get("host", "127.0.0.1"), int(doc.get("port", 0)))
     return OracleServer(oracle, bind)

@@ -29,14 +29,19 @@ def _key_to_int(key: int | str) -> int:
     raise TypeError(f"substream key must be int or str, got {type(key).__name__}")
 
 
-def make_rng(seed: int, *keys: int | str) -> np.random.Generator:
-    """Create a Philox generator for ``seed``, optionally scoped by ``keys``."""
+def check_seed(seed: int) -> int:
+    """Require an integer root seed in ``[0, 2**64)``."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     seed = int(seed)
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(_key_to_int(k) for k in keys))
+    return seed
+
+
+def make_rng(seed: int, *keys: int | str) -> np.random.Generator:
+    """Create a Philox generator for ``seed``, optionally scoped by ``keys``."""
+    ss = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(_key_to_int(k) for k in keys))
     return np.random.Generator(np.random.Philox(ss))
 
 

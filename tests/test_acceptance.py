@@ -336,9 +336,7 @@ def test_criterion_07_beats_accept_averaging_at_equal_budget(model128, sed_cal, 
         baseline_losses.append(
             reconstruction_loss(result.recovered.values, run.truth, Metric.SED)
         )
-        accepted = np.stack([
-            breaking_set.templates[i].values for i in result.params["accepted_indices"]
-        ])
+        accepted = breaking_set.values[result.params["accepted_indices"]]
         prefix_means = np.cumsum(accepted, axis=0) / np.arange(1, len(accepted) + 1)[:, None]
         curves.append([
             reconstruction_loss(m, run.truth, Metric.SED) for m in prefix_means

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from matchbreak.attacks import ATTACKS, make_attack
 from matchbreak.cli import main
 from matchbreak.matcher import Metric, OracleMode
 from matchbreak.netoracle import RemoteOracle, server_from_config
-from matchbreak.synth import enrollment_template, load_model
+from matchbreak.rng import make_rng
+from matchbreak.synth import build_scenario, enrollment_template, load_model
 from matchbreak.templates import read_template
 
 
@@ -151,6 +153,20 @@ class TestAttack:
         assert doc["error_type"] == "NoFalseMatchError"
         assert doc["queries"] == 1
 
+    @pytest.mark.parametrize("name", sorted(ATTACKS))
+    def test_params_are_plain_json(self, model_dir, name):
+        """``result.json`` writes an attack's ``params`` as they are."""
+        model = load_model(model_dir)
+        cls = ATTACKS[name]
+        oracle, breaking_set = build_scenario(
+            model, cls.metric or Metric.SED, cls.mode, [1], fmr=0.05, calibration_pairs=20000,
+            breaking_set_size=1000,
+        )
+        extra = {"budget": 20, "record_trace": True} if name == "hill" else {}
+        attack = make_attack(name, dim=model.dim, threshold=oracle.threshold.value, **extra)
+        result = attack.reconstruct(oracle, "1", seed=make_rng(5), breaking_set=breaking_set)
+        json.dumps(result.params)
+
     def test_unknown_attack_name_is_usage_error(self, model_dir, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli("attack", "--name", "quantum", "--model", model_dir,
@@ -231,6 +247,14 @@ class TestExperimentAndReport:
         assert run_cli("report", "--in", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not a JSON object" in err and "Traceback" not in err
+
+    def test_bad_config_refused_before_anything_is_drawn(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"attacks": [{"name": "hill", "budjet": 5}]}))
+        assert run_cli("experiment", "--config", path, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budjet" in err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_fingerprint(self, config_path, tmp_path, capsys):
         run_cli("experiment", "--config", config_path, "--out", tmp_path / "a")

@@ -6,8 +6,10 @@ import pytest
 
 from matchbreak.evaluation import (
     CSV_COLUMNS,
+    ConvergenceCurve,
     ExperimentConfig,
     ExperimentReport,
+    ExperimentRow,
     compute_aggregates,
     format_report,
     load_report,
@@ -159,6 +161,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="comes from the config"):
             tiny_config(attacks=({"name": "score-sed", "dim": 16},))
 
+    @pytest.mark.parametrize("overrides, error, match", [
+        ({"attacks": ({"name": "hill", "budjet": 5},)}, ValueError, "budjet"),
+        ({"attacks": ({"name": "hill", "step_size": -1},)}, ValueError, "step_size"),
+        ({"attacks": ({"name": "binary-ours", "precision": 0},)}, ValueError, "precision"),
+        ({"query_limit": 0}, ValueError, "query_limit"),
+        ({"query_limit": True}, TypeError, "query_limit"),
+        ({"unit_norm": "false"}, ValueError, "unit_norm"),
+        ({"seed": -1}, ValueError, "seed"),
+        ({"model_seed": 2**64}, ValueError, "seed"),
+        ({"model_seed": 1.5}, TypeError, "seed"),
+    ])
+    def test_bad_field_refused_at_construction(self, overrides, error, match):
+        with pytest.raises(error, match=match):
+            tiny_config(**overrides)
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -243,3 +260,109 @@ def test_aggregates_recompute_matches():
 def test_config_dict_round_trip():
     config = tiny_config(fmr_targets=(0.01, 0.001), query_limit=5000)
     assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+REPORT_JSON = """\
+{
+  "aggregates": [
+    {
+      "attack": "binary-baseline",
+      "failures": 1,
+      "fmr": 0.05,
+      "mean_loss": 0.30000000000000004,
+      "mean_queries": 4.0,
+      "mean_time_s": 0.1875,
+      "median_loss": 0.30000000000000004,
+      "rows": 2,
+      "std_loss": 0.0,
+      "success_rate": 0.5
+    }
+  ],
+  "baseline_curves": [
+    {
+      "fmr": 0.05,
+      "identity": "0",
+      "points": [
+        [
+          2,
+          1,
+          0.30000000000000004
+        ]
+      ]
+    }
+  ],
+  "config": {
+    "attacks": [
+      {
+        "budget": 5,
+        "name": "binary-baseline"
+      }
+    ],
+    "breaking_set_size": 5,
+    "calibration_pairs": 10,
+    "center_concentration": 0.0,
+    "dim": 4,
+    "fmr_targets": [
+      0.05
+    ],
+    "metric": "sed",
+    "model_seed": 2,
+    "num_identities": 3,
+    "num_targets": 2,
+    "oracle_noise_sigma": 0.0,
+    "query_limit": null,
+    "seed": 3,
+    "unit_norm": true,
+    "within_noise_sigma": 0.1
+  },
+  "format": "matchbreak-report-v1",
+  "rows": [
+    {
+      "attack": "binary-baseline",
+      "error": null,
+      "fmr": 0.05,
+      "identity": "0",
+      "loss": 0.30000000000000004,
+      "metric": "sed",
+      "passed": true,
+      "queries": 5,
+      "time_s": 0.25
+    },
+    {
+      "attack": "binary-baseline",
+      "error": "no false match",
+      "fmr": 0.05,
+      "identity": "1",
+      "loss": null,
+      "metric": "sed",
+      "passed": false,
+      "queries": 3,
+      "time_s": 0.125
+    }
+  ]
+}
+"""
+
+
+def test_report_json_text_is_pinned(tmp_path):
+    """Key names, the metric's value, null losses and repr floats of a
+    hand-built report with one served and one failed row."""
+    config = ExperimentConfig(
+        dim=4, num_identities=3, num_targets=2, fmr_targets=(0.05,),
+        attacks=({"name": "binary-baseline", "budget": 5},),
+        calibration_pairs=10, breaking_set_size=5, model_seed=2, seed=3,
+    )
+    rows = (
+        ExperimentRow(identity="0", attack="binary-baseline", metric=Metric.SED, fmr=0.05,
+                      loss=0.1 + 0.2, queries=5, time_s=0.25, passed=True),
+        ExperimentRow(identity="1", attack="binary-baseline", metric=Metric.SED, fmr=0.05,
+                      loss=None, queries=3, time_s=0.125, passed=False, error="no false match"),
+    )
+    curve = ConvergenceCurve(identity="0", fmr=0.05, points=((2, 1, 0.1 + 0.2),))
+    report = ExperimentReport(
+        config=config, rows=rows, aggregates=compute_aggregates(rows), baseline_curves=(curve,)
+    )
+    path = tmp_path / "report.json"
+    write_report_json(report, path)
+    assert path.read_text(encoding="utf-8") == REPORT_JSON
+    assert load_report(path) == report

@@ -19,7 +19,6 @@ from matchbreak.matcher import (
     Metric,
     OracleConfig,
     OracleMode,
-    QueryLedger,
     Threshold,
     calibrate_threshold,
     cosine_score,
@@ -348,17 +347,14 @@ class TestOracle:
         with pytest.raises(ValueError, match="metric"):
             OracleConfig(Metric.COSINE, OracleMode.BINARY, threshold=Threshold(1.0, Metric.SED))
 
+    @pytest.mark.parametrize("limit, error", [(True, TypeError), (2.0, TypeError), (0, ValueError)])
+    def test_query_limit_must_be_a_positive_integer(self, limit, error):
+        with pytest.raises(error, match="query_limit"):
+            OracleConfig(Metric.SED, OracleMode.SCORE, query_limit=limit)
 
-def test_query_ledger_standalone():
-    ledger = QueryLedger()
-    ledger.record("x")
-    ledger.record("x")
-    ledger.record("y")
-    assert ledger.total == 3
-    assert ledger.per_identity == {"x": 2, "y": 1}
-    ledger.reset()
-    assert ledger.total == 0
-    assert ledger.per_identity == {}
+    def test_query_limit_numpy_integer_becomes_int(self):
+        limit = OracleConfig(Metric.SED, OracleMode.SCORE, query_limit=np.int64(3)).query_limit
+        assert limit == 3 and type(limit) is int
 
 
 probe_batches = st.tuples(

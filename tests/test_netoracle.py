@@ -336,6 +336,18 @@ class TestServerFromConfig:
         with pytest.raises(ValueError, match="unknown server config keys: open_enrollment, query_limt"):
             server_from_config(doc, base_dir=model_dir)
 
+    @pytest.mark.parametrize("unit_norm", ["false", 0, None])
+    def test_non_bool_unit_norm_is_refused(self, model_dir, unit_norm):
+        doc = {"model": "model", "mode": "score", "unit_norm": unit_norm}
+        with pytest.raises(ValueError, match="unit_norm"):
+            server_from_config(doc, base_dir=model_dir)
+
+    def test_unit_norm_false_enrolls_raw_samples(self, model_dir):
+        doc = {"model": "model", "mode": "score", "identities": [1], "unit_norm": False}
+        with server_from_config(doc, base_dir=model_dir) as server:
+            raw = enrollment_template(make_model(), 1, unit_norm=False).values
+            assert server.oracle.authenticate_score("1", raw) == 0.0
+
 
 def recording(server):
     """Keep every request line the server dispatches."""
