@@ -42,6 +42,10 @@ from .synth import _BLOCK_ELEMENTS, BreakingSet
 from .templates import Template, normalize
 from .validation import as_vector, check_count, check_positive
 
+# Retry budgets; they decide when an attack gives up, not what a success costs.
+_RESAMPLE_ATTEMPTS = 4  # fresh probe sets or boundary points after the solver refuses a system
+_DIRECTION_REDRAWS = 8  # per bracket radius, for rays that never left the acceptance region
+
 
 @dataclass(frozen=True)
 class ReconstructionResult:
@@ -155,7 +159,6 @@ class SedScoreAttack(Attack):
     """
 
     dim: int
-    resample_attempts: int = 4
 
     name: ClassVar[str] = "score-sed"
     mode: ClassVar[OracleMode] = OracleMode.SCORE
@@ -163,13 +166,10 @@ class SedScoreAttack(Attack):
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=1)
-        check_count(self.resample_attempts, "resample_attempts", minimum=0)
 
     def _run(self, oracle, claim, rng, breaking_set):
         d = self.dim
-        center, extras = _solve_scores(
-            self, oracle, claim, lambda: rng.standard_normal((d + 1, d)), sphere_center
-        )
+        center, extras = _solve_scores(oracle, claim, lambda: rng.standard_normal((d + 1, d)), sphere_center)
         return center, False, extras
 
 
@@ -183,7 +183,6 @@ class CosineScoreAttack(Attack):
     """
 
     dim: int
-    resample_attempts: int = 4
 
     name: ClassVar[str] = "score-cos"
     mode: ClassVar[OracleMode] = OracleMode.SCORE
@@ -191,21 +190,20 @@ class CosineScoreAttack(Attack):
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=1)
-        check_count(self.resample_attempts, "resample_attempts", minimum=0)
 
     def _run(self, oracle, claim, rng, breaking_set):
         direction, extras = _solve_scores(
-            self, oracle, claim, lambda: _orthonormal_probes(rng, self.dim), solve_linear_system
+            oracle, claim, lambda: _orthonormal_probes(rng, self.dim), solve_linear_system
         )
         return normalize(direction).values, True, extras
 
 
-def _solve_scores(attack, oracle, claim, draw_probes, solve):
+def _solve_scores(oracle, claim, draw_probes, solve):
     """Solve the released scores of drawn probes, drawing fresh probes
-    (up to ``attack.resample_attempts`` times) while the solver refuses
-    their system."""
+    (up to ``_RESAMPLE_ATTEMPTS`` times) while the solver refuses their
+    system."""
     last_error = None
-    for attempt in range(attack.resample_attempts + 1):
+    for attempt in range(_RESAMPLE_ATTEMPTS + 1):
         probes = draw_probes()
         scores = oracle.authenticate_score_many(claim, probes)
         try:
@@ -213,7 +211,7 @@ def _solve_scores(attack, oracle, claim, draw_probes, solve):
         except SingularSystemError as exc:
             last_error = exc
     raise SingularSystemError(
-        f"probe geometry stayed singular after {attack.resample_attempts} resamples"
+        f"probe geometry stayed singular after {_RESAMPLE_ATTEMPTS} resamples"
     ) from last_error
 
 
@@ -297,7 +295,7 @@ class AcceptAverageAttack(Attack):
         probes = breaking_set.values[: self.budget]
         accepted = np.flatnonzero(oracle.authenticate_binary_many(claim, probes))
         if not accepted.size:
-            raise NoFalseMatchError("no false match found in the breaking set", attempts=len(probes))
+            raise NoFalseMatchError("no false match found in the breaking set")
         return probes[accepted].mean(axis=0), False, {"accepted_indices": accepted.tolist()}
 
 
@@ -321,7 +319,7 @@ def find_seed_match(
             seed = as_vector(row, name="seed").copy()
             seed.setflags(write=False)
             return seed, i + 1
-    raise NoFalseMatchError(f"no false match found in {len(rows)} attempts", attempts=len(rows))
+    raise NoFalseMatchError(f"no false match found in {len(rows)} attempts")
 
 
 def boundary_point(
@@ -331,8 +329,6 @@ def boundary_point(
     radius_estimate: float,
     precision: int,
     rng: np.random.Generator,
-    *,
-    max_direction_redraws: int = 8,
 ) -> np.ndarray:
     """Bisect from an accepted point to the decision boundary.
 
@@ -343,14 +339,11 @@ def boundary_point(
 
     A round whose ``precision`` queries all accept never left the region, so
     the direction is redrawn without spending extra queries on an explicit
-    outside check; after ``max_direction_redraws`` failures the radius
+    outside check; after ``_DIRECTION_REDRAWS`` failures the radius
     estimate is doubled once before giving up. Each round costs exactly
     ``precision`` queries. This is :func:`boundary_points` for one ray.
     """
-    points, _ = boundary_points(
-        oracle, claim, start, radius_estimate, precision, rng, 1,
-        max_direction_redraws=max_direction_redraws,
-    )
+    points, _ = boundary_points(oracle, claim, start, radius_estimate, precision, rng, 1)
     return points[0]
 
 
@@ -362,8 +355,6 @@ def boundary_points(
     precision: int,
     rng: np.random.Generator,
     count: int,
-    *,
-    max_direction_redraws: int = 8,
 ) -> tuple[np.ndarray, int]:
     """Bisect ``count`` rays from ``start`` to the boundary in blocks.
 
@@ -383,7 +374,7 @@ def boundary_points(
     a lockout falls, once a pass spans several blocks (d >= 256 for
     ``d + 1`` rays). Rays that never left the region are redrawn together
     in the next pass, and the radius estimate doubles after
-    ``max_direction_redraws`` of those. Returns the ``(count, d)`` points
+    ``_DIRECTION_REDRAWS`` of those. Returns the ``(count, d)`` points
     and the number of rounds bisected, each of which cost ``precision``
     queries.
     """
@@ -392,14 +383,13 @@ def boundary_points(
     radius_estimate = check_positive(radius_estimate, "radius_estimate")
     precision = check_count(precision, "precision", minimum=1)
     count = check_count(count, "count", minimum=1)
-    check_count(max_direction_redraws, "max_direction_redraws", minimum=0)
 
     block = max(1, _BLOCK_ELEMENTS // center.size)
     points = np.empty((count, center.size), dtype=np.float64)
     pending = np.arange(count)
     rounds = 0
     for radius in (radius_estimate, 2.0 * radius_estimate):
-        for _ in range(max_direction_redraws + 1):
+        for _ in range(_DIRECTION_REDRAWS + 1):
             n = len(pending)
             directions = random_unit_vectors(rng, center.size, n)
             t = np.empty(n)
@@ -450,15 +440,13 @@ class BoundarySearchAttack(Attack):
     score units (squared distance); its square root is the geometric radius
     used for bracketing. When the solver refuses the points' system as
     ill-conditioned, one point is redrawn (``precision`` more queries), up
-    to ``resample_attempts`` times.
+    to ``_RESAMPLE_ATTEMPTS`` times.
     """
 
     dim: int
     threshold_estimate: float
     precision: int = 20
     max_seed_attempts: int | None = None
-    resample_attempts: int = 4
-    max_direction_redraws: int = 8
 
     name: ClassVar[str] = "binary-ours"
     mode: ClassVar[OracleMode] = OracleMode.BINARY
@@ -470,8 +458,6 @@ class BoundarySearchAttack(Attack):
         check_count(self.precision, "precision", minimum=1)
         if self.max_seed_attempts is not None:
             check_count(self.max_seed_attempts, "max_seed_attempts", minimum=1)
-        check_count(self.resample_attempts, "resample_attempts", minimum=0)
-        check_count(self.max_direction_redraws, "max_direction_redraws", minimum=0)
 
     def _run(self, oracle, claim, rng, breaking_set):
         if breaking_set is None:
@@ -485,8 +471,7 @@ class BoundarySearchAttack(Attack):
         def next_points(count: int) -> np.ndarray:
             nonlocal redraw_rounds
             points, rounds = boundary_points(
-                oracle, claim, seed, float(np.sqrt(self.threshold_estimate)),
-                self.precision, rng, count, max_direction_redraws=self.max_direction_redraws,
+                oracle, claim, seed, float(np.sqrt(self.threshold_estimate)), self.precision, rng, count
             )
             redraw_rounds += rounds - count
             return points
@@ -498,7 +483,7 @@ class BoundarySearchAttack(Attack):
                 center = sphere_center(points)
                 break
             except SingularSystemError:
-                if solve_resamples >= self.resample_attempts:
+                if solve_resamples >= _RESAMPLE_ATTEMPTS:
                     raise
                 points[solve_resamples % (d + 1)] = next_points(1)[0]
                 solve_resamples += 1

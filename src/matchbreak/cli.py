@@ -180,11 +180,13 @@ def _attack_params(args) -> dict:
 
 
 def cmd_attack(args) -> int:
+    attack_cls = ATTACKS[args.name]
+    metric = Metric(args.metric or attack_cls.metric or Metric.SED)
+    if attack_cls.metric not in (None, metric):
+        raise UsageError(f"{args.name} needs --metric {attack_cls.metric.value}")
     model = load_model(args.model)
     if not 0 <= args.target < model.num_identities:
         raise UsageError(f"target must be in [0, {model.num_identities})")
-    attack_cls = ATTACKS[args.name]
-    metric = Metric(args.metric or attack_cls.metric or Metric.SED)
     oracle, breaking_set = build_scenario(
         model, metric, attack_cls.mode, [args.target],
         fmr=args.fmr,
@@ -246,7 +248,7 @@ def cmd_experiment(args) -> int:
         doc["seed"] = args.seed
     if args.num_targets is not None:
         doc["num_targets"] = args.num_targets
-    config = ExperimentConfig.from_dict(doc)
+    config = ExperimentConfig(**doc)
     report = run_experiment(config)
 
     out_dir = Path(args.out)

@@ -50,14 +50,7 @@ class AttackFailedError(MatchbreakError, RuntimeError):
 
 
 class NoFalseMatchError(AttackFailedError):
-    """Every probed breaking-set member was rejected.
-
-    `attempts` records how many members were probed before giving up.
-    """
-
-    def __init__(self, message: str, attempts: int = 0):
-        super().__init__(message)
-        self.attempts = attempts
+    """Every probed breaking-set member was rejected."""
 
 
 class OutsidePointError(AttackFailedError):
@@ -65,14 +58,7 @@ class OutsidePointError(AttackFailedError):
 
 
 class WireProtocolError(MatchbreakError, RuntimeError):
-    """The remote oracle returned an unexpected or malformed response.
-
-    `code` carries the server-side error code when one was present.
-    """
-
-    def __init__(self, message: str, code: str | None = None):
-        super().__init__(message)
-        self.code = code
+    """The remote oracle returned an unexpected or malformed response."""
 
 
 # What an attack run can end with that a harness records as a failed attempt

@@ -101,7 +101,9 @@ class ExperimentConfig:
             # Build the attack now, so that a bad name or parameter is refused
             # before anything is drawn; 1.0 stands in for the calibrated threshold.
             params = dict(a)
-            make_attack(params.pop("name"), dim=self.dim, threshold=1.0, **params)
+            attack = make_attack(params.pop("name"), dim=self.dim, threshold=1.0, **params)
+            if attack.metric not in (None, self.metric):
+                raise ValueError(f"{attack.name} needs the {attack.metric.value} metric, not {self.metric.value}")
         object.__setattr__(self, "attacks", attacks)
         if self.query_limit is not None:
             check_count(self.query_limit, "query_limit", minimum=1)
@@ -109,13 +111,6 @@ class ExperimentConfig:
             raise ValueError(f"unit_norm must be true or false, got {self.unit_norm!r}")
         check_seed(self.model_seed)
         check_seed(self.seed)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -329,7 +324,7 @@ def load_report(path) -> ExperimentReport:
     if doc.get("format") != _REPORT_FORMAT:
         raise ValueError(f"unsupported report format {doc.get('format')!r}")
     try:
-        config = ExperimentConfig.from_dict(doc["config"])
+        config = ExperimentConfig(**doc["config"])
         rows = tuple(
             ExperimentRow(
                 identity=r["identity"], attack=r["attack"], metric=Metric(r["metric"]),

@@ -18,7 +18,8 @@ Gaussian columns ``G`` (:func:`_probe_matrix`):
 Since ``A_s^-1 = a^-1 diag(s)``, ``Y`` is ``a^-1 (diag(s) G)``, so one LU
 factorisation of ``a`` solves ``[b | diag(s) G]``: column 0 is the
 solution and the other columns are ``Y``. A system the bound cannot clear
-goes to the SVD and, if accepted, keeps that column 0 too.
+goes to the SVD and, if accepted, keeps that column 0 too; a matrix
+LAPACK cannot factorise is refused without one.
 
 ``||Y||_F^2`` is at least ``sigma_max(A_s^-1)^2`` times a chi-square
 variable with :data:`_PROBES` degrees of freedom, and ``||A_s||_F`` is at
@@ -73,9 +74,10 @@ _OPENBLAS_THREAD_CALLS = (
 def solve_linear_system(a, b) -> np.ndarray:
     """Solve ``a @ x == b`` for square ``a``.
 
-    Raises :class:`SingularSystemError` when ``a`` has a zero row, or when
-    the condition number of ``a`` with each row divided by its largest
-    magnitude is above :data:`MAX_CONDITION` (or not finite).
+    Raises :class:`SingularSystemError` when ``a`` has a zero row, when
+    LAPACK cannot factorise it, or when the condition number of ``a``
+    with each row divided by its largest magnitude is above
+    :data:`MAX_CONDITION` (or not finite).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -102,8 +104,6 @@ def _guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 raise SingularSystemError(
                     f"singular system: condition number {kappa:.3g} exceeds {MAX_CONDITION:.3g}"
                 )
-            if x is None:
-                return np.linalg.solve(a, b)
         return x
 
 
@@ -115,17 +115,17 @@ def _solve_and_bound(a, b, scale):
     ``||A_s||_F ||A_s^-1 G||_F / sqrt(32)``, which is at least the 2-norm
     condition number of ``A_s`` except with probability about 1.5e-18 (a
     chi-square with 64 degrees of freedom below 8; see the module
-    docstring), or ``(None, inf)`` when LAPACK cannot factorise ``a``. On the sphere systems of 40 d=512
-    ``binary-ours`` recoveries the bound was at most 3.4 times the
-    condition number."""
+    docstring). On the sphere systems of 40 d=512 ``binary-ours``
+    recoveries the bound was at most 3.4 times the condition number.
+    Raises :class:`SingularSystemError` when LAPACK cannot factorise ``a``."""
     n = a.shape[0]
     rhs = np.empty((n, 1 + _PROBES))
     rhs[:, 0] = b
     np.multiply(scale[:, None], _probe_matrix(n), out=rhs[:, 1:])
     try:
         solved = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        return None, np.inf
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("singular system: LAPACK could not factorise the coefficient matrix") from exc
     bound = float(np.linalg.norm(a / scale[:, None]) * np.linalg.norm(solved[:, 1:]) / _PROBE_DIVISOR)
     return solved[:, 0].copy(), bound
 

@@ -78,7 +78,7 @@ def _all_finite(x) -> bool:
 def _score_pair(metric: Metric, a, b) -> float:
     av = as_vector(a, name="a")
     bv = as_vector(b, name="b")
-    check_same_dim(av, bv, names=("a", "b"))
+    check_same_dim(av, bv)
     return float(_score_rows(metric, av, bv))
 
 
@@ -326,7 +326,7 @@ class MatchingOracle:
                 if rows.ndim != 2 or rows.shape[1] != enrolled.size:
                     rows = check()  # raises, in the validator's order of checks
             else:
-                rows = np.asarray(getattr(probes, "values", probes), dtype=np.float64)
+                rows = np.asarray(probes, dtype=np.float64)
                 if rows.shape != enrolled.shape:
                     rows = check()
             values = _score_rows(self._config.metric, enrolled, rows, check)

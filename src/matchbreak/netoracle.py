@@ -180,11 +180,6 @@ class OracleServer:
         return claim, templates
 
 
-def serve(oracle: MatchingOracle, bind=("127.0.0.1", 0)) -> OracleServer:
-    """Start serving ``oracle`` in a background thread; returns the handle."""
-    return OracleServer(oracle, bind).start()
-
-
 _CONFIG_KEYS = frozenset({
     "model", "metric", "mode", "threshold", "fmr", "calibration_pairs", "calibration_seed",
     "noise_sigma", "noise_seed", "query_limit", "unit_norm", "identities", "host", "port",
@@ -230,12 +225,14 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
 
 
 def _parse_address(address) -> tuple[str, int]:
-    if isinstance(address, (tuple, list)) and len(address) == 2:
+    """``(host, port)`` from a ``"host:port"`` string or a 2-tuple. A host
+    with a ``/`` in it, such as ``tcp://host:port``, is refused here rather
+    than at name resolution."""
+    if isinstance(address, tuple) and len(address) == 2:
         return str(address[0]), int(address[1])
     if isinstance(address, str):
-        stripped = address.removeprefix("tcp://")
-        host, sep, port = stripped.rpartition(":")
-        if sep and host and port.isdigit():
+        host, sep, port = address.rpartition(":")
+        if sep and host and "/" not in host and port.isdigit():
             return host, int(port)
     raise ValueError(f"cannot parse address {address!r}; expected host:port")
 
@@ -282,12 +279,12 @@ class RemoteOracle:
             if code == "LOCKED":
                 served = doc.get("served", 0)
                 if not isinstance(served, int) or isinstance(served, bool) or served < 0:
-                    raise WireProtocolError(f"expected a served count, got {served!r}", code=code)
+                    raise WireProtocolError(f"expected a served count, got {served!r}")
                 raise LockedOutError(message, served=served)
             exc_class = _ERROR_CLASSES.get(code)
             if exc_class is not None:
                 raise exc_class(message)
-            raise WireProtocolError(message, code=code)
+            raise WireProtocolError(message)
         return doc
 
     def authenticate_score(self, identity: str, probe) -> float:

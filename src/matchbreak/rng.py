@@ -45,17 +45,9 @@ def make_rng(seed: int, *keys: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def as_generator(seed: SeedLike, *keys: int | str) -> np.random.Generator:
-    """Accept either a seed or an existing generator.
-
-    Passing a generator hands over its state as-is; substream keys are only
-    meaningful together with an integer seed.
-    """
-    if isinstance(seed, np.random.Generator):
-        if keys:
-            raise ValueError("substream keys cannot be combined with a Generator")
-        return seed
-    return make_rng(seed, *keys)
+def as_generator(seed: SeedLike) -> np.random.Generator:
+    """A generator for ``seed``, or ``seed`` itself if it is one."""
+    return seed if isinstance(seed, np.random.Generator) else make_rng(seed)
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

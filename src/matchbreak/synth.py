@@ -25,12 +25,12 @@ from .matcher import (
     calibrate_threshold,
 )
 from .rng import SeedLike, as_generator, make_rng, random_unit_vector
-from .templates import Template
+from .templates import UNIT_NORM_TOL, Template
 from .validation import check_count, check_nonnegative
 
 _MODEL_FORMAT = "matchbreak-model-v1"
-_CENTER_NORM_TOL = 1e-9
 _BLOCK_ELEMENTS = 1 << 16  # values per row block: 512 KB of float64 stays in L2; 4 MB blocks ran slower
+_CHUNK_PAIRS = 20000  # pairs per calibration chunk, part of the sampler's specification
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +44,7 @@ class IdentityModel:
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=2)
-        check_count(self.num_identities, "num_identities", minimum=1)
+        check_count(self.num_identities, "num_identities", minimum=2)
         check_nonnegative(self.within_noise_sigma, "within_noise_sigma")
         check_nonnegative(self.center_concentration, "center_concentration")
         centers = np.array(self.centers, dtype=np.float64)
@@ -55,7 +55,7 @@ class IdentityModel:
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers contain non-finite values")
         norms = np.linalg.norm(centers, axis=1)
-        if np.any(np.abs(norms - 1.0) > _CENTER_NORM_TOL):
+        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             raise ValueError("every identity center must have unit norm")
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -205,8 +205,6 @@ def gen_breaking_set(
     idx = _identity_index(model, exclude_identity)
     check_count(size, "size", minimum=1)
     others = np.delete(np.arange(model.num_identities, dtype=np.intp), idx)
-    if not others.size:
-        raise ValueError("breaking set needs at least one identity besides the target")
     labels = others[np.arange(size) % len(others)]
 
     values = as_generator(seed).standard_normal((size, model.dim))
@@ -224,12 +222,11 @@ def _pair_scores(
     impostor: bool,
     unit_norm: bool,
     seed: SeedLike,
-    chunk_size: int = 20000,
 ) -> np.ndarray:
     """Scores of ``n_pairs`` pairs of fresh samples, drawn in chunks.
 
     The draws are the sampler's specification. Each chunk of
-    ``m = min(chunk_size, pairs left)`` pairs draws, in this order:
+    ``m = min(_CHUNK_PAIRS, pairs left)`` pairs draws, in this order:
 
     1. ``i = integers(0, n, m)``, the first sample's identities;
     2. for impostor pairs, offsets ``integers(1, n, m)`` and
@@ -242,7 +239,7 @@ def _pair_scores(
     is the einsum of the pair, divided by the product of the norms unless
     the samples are unit-norm.
 
-    Memory is one ``(chunk_size, d)`` buffer, reused by every chunk for
+    Memory is one ``(_CHUNK_PAIRS, d)`` buffer, reused by every chunk for
     ``a``, plus a few row blocks of about ``_BLOCK_ELEMENTS`` values: each
     block of ``a`` is finished in place, and ``b`` is drawn block by block
     into one block buffer, which continues the generator's stream exactly
@@ -250,16 +247,14 @@ def _pair_scores(
     """
     metric = Metric(metric)
     check_count(n_pairs, "n_pairs", minimum=1)
-    if impostor and model.num_identities < 2:
-        raise ValueError("impostor pairs need at least two identities")
     rng = as_generator(seed)
     n, centers, sigma = model.num_identities, model.centers, model.within_noise_sigma
     out = np.empty(n_pairs, dtype=np.float64)
-    a_buf = np.empty((min(chunk_size, n_pairs), model.dim))
+    a_buf = np.empty((min(_CHUNK_PAIRS, n_pairs), model.dim))
     block = max(1, _BLOCK_ELEMENTS // model.dim)
     b_buf = np.empty((min(block, len(a_buf)), model.dim))
-    for done in range(0, n_pairs, chunk_size):
-        m = min(chunk_size, n_pairs - done)
+    for done in range(0, n_pairs, _CHUNK_PAIRS):
+        m = min(_CHUNK_PAIRS, n_pairs - done)
         i = rng.integers(0, n, size=m)
         j = (i + rng.integers(1, n, size=m)) % n if impostor else i
         rng.standard_normal(out=a_buf[:m])

@@ -53,9 +53,10 @@ class Template:
         return f"Template(dim={self.dim}, unit={self.unit})"
 
 
-def normalize(template) -> Template:
-    """Scale to unit norm. The zero vector has no direction and is rejected."""
-    arr = as_vector(template, name="template")
+def normalize(values) -> Template:
+    """The array ``values`` scaled to unit norm, as a template. The zero
+    vector has no direction and is rejected."""
+    arr = as_vector(values, name="template")
     peak = np.max(np.abs(arr))
     if peak == 0.0:
         raise DegenerateTemplateError("degenerate template: cannot normalize the zero vector")
@@ -65,8 +66,6 @@ def normalize(template) -> Template:
 
 def write_template(template: Template, path) -> None:
     """Write the binary form: ``TPL1`` + u32 dim + u8 flag + float64 payload."""
-    if not isinstance(template, Template):
-        template = Template(template)
     header = _HEADER.pack(_MAGIC, template.dim, 1 if template.unit else 0)
     Path(path).write_bytes(header + template.values.astype("<f8").tobytes())
 

@@ -8,14 +8,12 @@ from .errors import DimensionMismatchError
 
 
 def as_vector(x, *, name: str = "vector", dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite, nonempty 1-D float64 array.
+    """Coerce the array-like ``x`` to a finite, nonempty 1-D float64 array.
 
-    Accepts anything array-like plus objects exposing a ``values`` array
-    (templates). Returns a view when the input already satisfies the
-    contract, so callers that need ownership must copy.
+    Returns a view when the input already satisfies the contract, so
+    callers that need ownership must copy.
     """
-    values = getattr(x, "values", x)
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector")
     if not np.isfinite(arr).all():
@@ -40,11 +38,9 @@ def as_matrix(x, *, name: str = "matrix", dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def check_same_dim(a: np.ndarray, b: np.ndarray, *, names: tuple[str, str] = ("a", "b")) -> None:
+def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"{names[0]} has dimension {a.size}, {names[1]} has dimension {b.size}"
-        )
+        raise DimensionMismatchError(f"a has dimension {a.size}, b has dimension {b.size}")
 
 
 def check_positive(value: float, name: str) -> float:

@@ -36,7 +36,7 @@ from matchbreak.matcher import (
     OracleMode,
     sed_score,
 )
-from matchbreak.netoracle import RemoteOracle, serve
+from matchbreak.netoracle import OracleServer, RemoteOracle
 from matchbreak.rng import make_rng
 from matchbreak.synth import (
     enrollment_template,
@@ -421,7 +421,7 @@ def test_criterion_10_remote_oracle_changes_nothing(model16, cal16):
             local_oracle, str(target), seed=make_rng(44, attack.name), breaking_set=needs_set
         )
         served_oracle = fresh_oracle()
-        with serve(served_oracle) as server:
+        with OracleServer(served_oracle) as server:
             with RemoteOracle(server.address, metric=metric, mode=mode) as remote:
                 via_tcp = attack.reconstruct(
                     remote, str(target), seed=make_rng(44, attack.name), breaking_set=needs_set
@@ -437,7 +437,7 @@ def test_criterion_10_remote_oracle_changes_nothing(model16, cal16):
     counts = []
     concurrent_oracle = MatchingOracle(OracleConfig(metric=Metric.SED, mode=OracleMode.SCORE))
     concurrent_oracle.enroll("0", enrollment_template(model16, 0).values)
-    with serve(concurrent_oracle) as server:
+    with OracleServer(concurrent_oracle) as server:
         def hammer(k):
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as r:
                 rng = make_rng(44, "concurrent", k)

@@ -98,14 +98,18 @@ class TestSedScoreAttack:
         assert result.queries_used == 2 * 129
 
     def test_resamples_exhausted(self, model, monkeypatch):
+        """After the fixed number of resamples the attack gives up, having
+        paid for every probe set it drew."""
         truth = enrollment_template(model, 4)
         oracle = score_oracle(truth.values)
         monkeypatch.setattr(
             attacks_module, "sphere_center",
             lambda *a, **k: (_ for _ in ()).throw(SingularSystemError("forced")),
         )
-        with pytest.raises(SingularSystemError, match="resamples"):
-            SedScoreAttack(dim=128, resample_attempts=2).reconstruct(oracle, "t", seed=1)
+        attempts = attacks_module._RESAMPLE_ATTEMPTS
+        with pytest.raises(SingularSystemError, match=f"after {attempts} resamples") as info:
+            SedScoreAttack(dim=128).reconstruct(oracle, "t", seed=1)
+        assert info.value.queries_used == oracle.queries == (attempts + 1) * 129
 
 
 class TestCosineScoreAttack:

@@ -173,6 +173,16 @@ class TestAttack:
                     "--target", 0, "--out", tmp_path / "x")
         assert info.value.code == 2
 
+    def test_metric_the_attack_cannot_use_is_usage_error(self, tmp_path, capsys):
+        """Refused before the model is even loaded: the directory does not
+        exist, and the exit code is still 2, not a runtime failure's 1."""
+        with pytest.raises(SystemExit) as info:
+            run_cli("attack", "--name", "binary-ours", "--metric", "cosine", "--model", tmp_path / "none",
+                    "--target", 0, "--out", tmp_path / "x")
+        assert info.value.code == 2
+        assert "binary-ours needs --metric sed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_target_out_of_range(self, model_dir, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli("attack", "--name", "score-sed", "--model", model_dir,

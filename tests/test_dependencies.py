@@ -1,4 +1,5 @@
-"""The package's only runtime dependency is numpy."""
+"""The package's only runtime dependency is numpy, and every name it
+exports resolves."""
 
 import os
 import subprocess
@@ -18,6 +19,12 @@ for info in pkgutil.iter_modules(matchbreak.__path__, "matchbreak."):
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(" ".join(sorted(loaded & set(importlib.metadata.packages_distributions()))))
 """
+
+
+def test_every_name_in_all_resolves():
+    assert len(set(matchbreak.__all__)) == len(matchbreak.__all__)
+    missing = [name for name in matchbreak.__all__ if not hasattr(matchbreak, name)]
+    assert missing == []
 
 
 def test_importing_every_module_loads_numpy_alone():

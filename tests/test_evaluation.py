@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestRunExperiment:
             assert row.loss < 1e-16
             assert row.passed
 
-    def test_deterministic_across_runs_and_jobs(self):
+    def test_deterministic_across_runs_whatever_jobs(self):
         config = tiny_config(attacks=({"name": "score-sed"}, {"name": "binary-ours", "precision": 8}))
         sequential = run_experiment(config, jobs=1)
         threaded = run_experiment(config, jobs=4)
@@ -176,6 +177,16 @@ class TestRunExperiment:
         with pytest.raises(error, match=match):
             tiny_config(**overrides)
 
+    @pytest.mark.parametrize("metric, attack", [
+        ("cosine", "binary-ours"), ("cosine", "score-sed"), ("sed", "score-cos"),
+    ])
+    def test_attack_metric_must_match_the_config(self, metric, attack):
+        """An attack that needs the other metric is refused with the config,
+        not by the oracle after the model is drawn and calibrated."""
+        with pytest.raises(ValueError, match=f"{attack} needs the"):
+            tiny_config(metric=metric, attacks=({"name": attack},))
+        tiny_config(metric=metric, attacks=({"name": "hill"}, {"name": "binary-baseline"}))
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -259,7 +270,8 @@ def test_aggregates_recompute_matches():
 
 def test_config_dict_round_trip():
     config = tiny_config(fmr_targets=(0.01, 0.001), query_limit=5000)
-    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig(**asdict(config)) == config
+    assert ExperimentConfig(**json.loads(json.dumps(asdict(config)))) == config
 
 
 REPORT_JSON = """\

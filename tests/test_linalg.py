@@ -245,29 +245,27 @@ def test_guard_decides_as_the_exact_condition_number(kappa, cleared_by_bound, ac
 
 
 def test_guard_falls_back_when_the_probe_solve_fails(monkeypatch):
-    """When the joint solve (the one against ``[b | D G]``) fails, the
-    bound is infinite and the exact condition number decides, both ways;
-    an accepted system is then solved against ``b`` alone."""
-    real_solve, real_cond = np.linalg.solve, np.linalg.cond
-    conds = []
+    """When LAPACK cannot factorise ``a`` in the joint solve (the one
+    against ``[b | D G]``), the guard falls back on nothing: the system is
+    refused at once, with no SVD and no second solve, which would fail the
+    same way since the factorisation depends on ``a`` alone."""
+    real_solve = np.linalg.solve
+    solves, conds = [], []
 
     def failing_joint_solve(a, b):
+        solves.append(np.shape(b))
         if np.shape(b) == (len(a), 1 + _PROBES):
             raise np.linalg.LinAlgError("Singular matrix")
         return real_solve(a, b)
 
-    def counting_cond(a):
-        conds.append(a.shape)
-        return real_cond(a)
-
     monkeypatch.setattr(np.linalg, "solve", failing_joint_solve)
-    monkeypatch.setattr(np.linalg, "cond", counting_cond)
-    assert np.isinf(_bound(np.eye(2)))
-    assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
-    assert conds == [(2, 2)]
-    with pytest.raises(SingularSystemError, match="condition number"):
-        solve_linear_system([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 1.0])
-    assert conds == [(2, 2), (2, 2)]
+    monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(a.shape))
+    for a in ([[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-12]]):
+        with pytest.raises(SingularSystemError, match="could not factorise") as info:
+            solve_linear_system(a, [3.0, 4.0])
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert solves == [(2, 1 + _PROBES)] * 2
+    assert conds == []
 
 
 def _guard_verdict(a, b):

@@ -25,7 +25,6 @@ from matchbreak.matcher import (
     score,
     sed_score,
 )
-from matchbreak.templates import Template
 
 
 def brute_sed(a, b):
@@ -541,8 +540,8 @@ class TestLateFiniteCheck:
 
 @pytest.mark.parametrize("metric", list(Metric))
 def test_probe_forms_score_as_float64(metric):
-    """A ``Template``, a list and a float32 array are the float64 probe they
-    convert to, alone and in a batch."""
+    """A list and a float32 array are the float64 probe they convert to,
+    alone and in a batch."""
     rng = np.random.default_rng(8)
     enrolled = rng.standard_normal(16)
     rows32 = rng.standard_normal((3, 16)).astype(np.float32)
@@ -552,7 +551,7 @@ def test_probe_forms_score_as_float64(metric):
     score_oracle, binary_oracle = (make_oracle(metric, mode, threshold) for mode in OracleMode)
     for oracle in (score_oracle, binary_oracle):
         oracle.enroll("a", enrolled)
-    for form in (rows32[0], rows[0].tolist(), Template(rows[0]), rows[0]):
+    for form in (rows32[0], rows[0].tolist(), rows[0]):
         assert score_oracle.authenticate_score("a", form) == expected[0]
         assert binary_oracle.authenticate_binary("a", form) is binary_oracle.threshold.accepts(expected[0])
     for batch in (rows32, rows.tolist(), rows):

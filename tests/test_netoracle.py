@@ -22,10 +22,10 @@ from matchbreak.matcher import (
 )
 from matchbreak.netoracle import (
     MAX_REQUEST_BYTES,
+    OracleServer,
     RemoteOracle,
     WireMessage,
     _parse_address,
-    serve,
     server_from_config,
 )
 from matchbreak.rng import make_rng
@@ -86,7 +86,7 @@ class TestScoreTransport:
         local = make_local(OracleMode.SCORE)
         shadow = make_local(OracleMode.SCORE)
         rng = make_rng(5, "probes")
-        with serve(local) as server:
+        with OracleServer(local) as server:
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 for _ in range(20):
                     probe = rng.normal(size=DIM)
@@ -95,7 +95,7 @@ class TestScoreTransport:
 
     def test_binary_response_has_no_score(self):
         local = make_local(OracleMode.BINARY)
-        with serve(local) as server:
+        with OracleServer(local) as server:
             with socket.create_connection(server.address) as sock:
                 f = sock.makefile("rwb")
                 probe = enrollment_template(make_model(), 0).values.tolist()
@@ -104,11 +104,11 @@ class TestScoreTransport:
                 doc = json.loads(f.readline())
         assert doc == {"matches": [True]}
 
-    def test_stats_and_reset(self):
+    def test_stats_reads_the_ledger_and_reset_is_refused(self):
         """``stats`` reads the server's ledger; ``reset`` is not a wire op, so
         a client cannot wipe the count it is held to."""
         local = make_local(OracleMode.SCORE)
-        with serve(local) as server:
+        with OracleServer(local) as server:
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 assert remote.queries == 0
                 remote.authenticate_score("0", np.zeros(DIM))
@@ -125,7 +125,7 @@ class TestScoreTransport:
 class TestErrorCodes:
     @pytest.fixture()
     def score_server(self):
-        with serve(make_local(OracleMode.SCORE)) as server:
+        with OracleServer(make_local(OracleMode.SCORE)) as server:
             yield server
 
     def test_unknown_identity(self, score_server):
@@ -141,7 +141,7 @@ class TestErrorCodes:
 
     def test_locked_after_query_limit(self):
         local = make_local(OracleMode.SCORE, query_limit=3)
-        with serve(local) as server:
+        with OracleServer(local) as server:
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 for _ in range(3):
                     remote.authenticate_score("0", np.zeros(DIM))
@@ -198,7 +198,7 @@ class TestErrorCodes:
                 assert f"unknown op {payload['op']!r}" in doc["message"]
         assert score_server.oracle.queries == 0
 
-    def test_enrollment_disabled_by_default(self, score_server):
+    def test_enroll_is_not_a_wire_op(self, score_server):
         """``enroll`` is not a wire op: it is refused on a connection that
         stays open, and enrolls nothing."""
         with socket.create_connection(score_server.address) as sock:
@@ -229,13 +229,13 @@ class TestErrorCodes:
 
 
 class TestEnrollment:
-    def test_open_enrollment_flow(self):
+    def test_identities_enroll_in_process_only(self):
         """Enrollment happens on the server's side only: a served oracle
         answers for an identity once it is enrolled in-process, never
         through the wire."""
         oracle = MatchingOracle(OracleConfig(metric=Metric.SED, mode=OracleMode.SCORE))
         template = np.arange(1.0, DIM + 1.0)
-        with serve(oracle) as server:
+        with OracleServer(oracle) as server:
             with socket.create_connection(server.address) as sock:
                 f = sock.makefile("rwb")
                 assert ask(f, {"op": "enroll", "claim": "fresh", "template": template.tolist()})["error"] == "BAD_REQUEST"
@@ -253,7 +253,7 @@ class TestConcurrency:
         per_client = 200
         counts = []
         errors = []
-        with serve(local) as server:
+        with OracleServer(local) as server:
             def worker(k):
                 try:
                     with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
@@ -277,9 +277,14 @@ class TestConcurrency:
 
 class TestAddresses:
     def test_tuple_string_and_url_forms(self):
+        """A ``(host, port)`` tuple and a ``"host:port"`` string are the two
+        forms; a list and a ``tcp://`` URL are refused with the error that
+        names the accepted form."""
         assert _parse_address(("localhost", 9)) == ("localhost", 9)
         assert _parse_address("localhost:9") == ("localhost", 9)
-        assert _parse_address("tcp://10.0.0.1:4321") == ("10.0.0.1", 4321)
+        for bad in (["localhost", 9], "tcp://10.0.0.1:4321"):
+            with pytest.raises(ValueError, match="expected host:port"):
+                _parse_address(bad)
 
     def test_rejects_garbage(self):
         for bad in ("localhost", "host:", ":123", "host:port", 42):
@@ -381,7 +386,7 @@ class TestBatches:
         cut = float(np.median(np.sum((probes - enrolled) ** 2, axis=1)))
         local, served = twin_oracles(Metric.SED, OracleMode.BINARY, enrolled, Threshold(cut, Metric.SED))
         expected = local.authenticate_binary_many("0", probes)
-        with serve(served) as server:
+        with OracleServer(served) as server:
             lines = recording(server)
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.BINARY) as remote:
                 matches = remote.authenticate_binary_many("0", probes)
@@ -395,7 +400,7 @@ class TestBatches:
     def test_longest_float_renderings_fit_a_line(self):
         local = make_local(OracleMode.SCORE)
         probes = np.full((300, 512), -2.2250738585072014e-308)
-        with serve(local) as server:
+        with OracleServer(local) as server:
             lines = recording(server)
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(DimensionMismatchError):
@@ -410,7 +415,7 @@ class TestBatches:
         probes = rng.standard_normal((50, DIM))
         local, served = twin_oracles(metric, OracleMode.SCORE, enrolled, noise_sigma=0.2, noise_seed=3)
         expected = local.authenticate_score_many("0", probes)
-        with serve(served) as server:
+        with OracleServer(served) as server:
             with RemoteOracle(server.address, metric=metric, mode=OracleMode.SCORE) as remote:
                 assert np.array_equal(remote.authenticate_score_many("0", probes), expected)
                 assert remote.authenticate_score("0", probes[0]) == local.authenticate_score("0", probes[0])
@@ -422,7 +427,7 @@ class TestBatches:
         local, served = twin_oracles(Metric.SED, OracleMode.SCORE, enrolled, query_limit=100)
         with pytest.raises(LockedOutError):
             local.authenticate_score_many("0", probes)
-        with serve(served) as server:
+        with OracleServer(served) as server:
             lines = recording(server)
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(LockedOutError):
@@ -443,7 +448,7 @@ class TestBatches:
         with pytest.raises(LockedOutError) as local_info:
             local.authenticate_score_many("0", probes)
         assert local_info.value.served == 3
-        with serve(served) as server:
+        with OracleServer(served) as server:
             with socket.create_connection(server.address) as sock:
                 f = sock.makefile("rwb")
                 for payload, count in (
@@ -464,7 +469,7 @@ class TestBatches:
         assert served.ledger_snapshot() == local.ledger_snapshot() == (3, {"0": 3})
 
     def test_bad_batches(self):
-        with serve(make_local(OracleMode.SCORE)) as server:
+        with OracleServer(make_local(OracleMode.SCORE)) as server:
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(DimensionMismatchError):
                     remote.authenticate_score_many("0", np.zeros((2, DIM + 1)))
@@ -495,7 +500,7 @@ class TestBatches:
         attack = BoundarySearchAttack(dim=16, threshold_estimate=threshold.value, precision=20)
         bs = gen_breaking_set(model, 5, 400, seed=12)
         stop = threading.Event()
-        with serve(oracle) as server:
+        with OracleServer(oracle) as server:
             lines = recording(server)
 
             def other_client():

@@ -45,11 +45,6 @@ def test_as_generator_from_seed():
     assert np.array_equal(as_generator(11).random(4), make_rng(11).random(4))
 
 
-def test_as_generator_rejects_keys_with_generator():
-    with pytest.raises(ValueError):
-        as_generator(make_rng(0), "sub")
-
-
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "seed", None, True])
 def test_invalid_seeds_rejected(bad):
     with pytest.raises((TypeError, ValueError)):

@@ -160,13 +160,13 @@ class TestBreakingSet:
         assert rng.random() == ref_rng.random()
 
     def test_single_identity_model_rejected(self):
-        centers = np.ones((1, 4)) / 2.0
-        lonely = IdentityModel(
-            dim=4, num_identities=1, centers=centers,
-            within_noise_sigma=0.1, center_concentration=0.0, seed=0,
-        )
-        with pytest.raises(ValueError, match="besides the target"):
-            gen_breaking_set(lonely, 0, 5, seed=0)
+        """A model needs a non-target identity for its breaking sets and
+        impostor pairs, so it is refused with one identity."""
+        with pytest.raises(ValueError, match="num_identities must be >= 2"):
+            IdentityModel(
+                dim=4, num_identities=1, centers=np.ones((1, 4)) / 2.0,
+                within_noise_sigma=0.1, center_concentration=0.0, seed=0,
+            )
 
     def test_acceptance_rate_tracks_fmr(self, model):
         """Breaking-set members are impostors, so a threshold calibrated to a

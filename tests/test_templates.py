@@ -25,7 +25,7 @@ def test_normalize_idempotent():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(32)
     once = normalize(v)
-    twice = normalize(once)
+    twice = normalize(once.values)
     assert np.allclose(once.values, twice.values, rtol=0, atol=1e-15)
 
 
