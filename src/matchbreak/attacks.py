@@ -15,7 +15,13 @@ Four families are implemented:
 * ``binary-baseline``: average every breaking-set member a decision oracle
   accepts.
 * ``binary-ours``: find one accepted seed, bisect to ``d + 1`` points on the
-  decision boundary, and solve for the sphere center they share.
+  decision boundary, and solve for the sphere center they share. Its rays
+  run along the vertices of a randomly turned regular simplex by default
+  (``directions="simplex"``): the draw takes ``2d`` normals, and the centre
+  has a closed form, one matrix-vector product, with the conditioning guard
+  kept through the system's structured inverse (O(d^2) each). The paper's
+  ``directions="random"`` draws ``(d + 1) d`` normals and solves the
+  points' system by LU, O(d^3). Both cost the same queries.
 """
 
 from __future__ import annotations
@@ -37,10 +43,14 @@ from .errors import (
 )
 from .linalg import solve_linear_system, sphere_center
 from .matcher import Metric, OracleMode
-from .rng import SeedLike, as_generator, random_unit_vector, random_unit_vectors
+from .rng import SeedLike, as_generator, random_unit_vector, random_unit_vectors, simplex_directions
 from .synth import _BLOCK_ELEMENTS, BreakingSet
 from .templates import Template, normalize
 from .validation import as_vector, check_count, check_positive
+
+# binary-ours' ray designs: a turned regular simplex (the default), or the
+# paper's uniformly random directions.
+DIRECTION_DESIGNS = ("simplex", "random")
 
 # Retry budgets; they decide when an attack gives up, not what a success costs.
 _RESAMPLE_ATTEMPTS = 4  # fresh probe sets or boundary points after the solver refuses a system
@@ -343,7 +353,7 @@ def boundary_point(
     estimate is doubled once before giving up. Each round costs exactly
     ``precision`` queries. This is :func:`boundary_points` for one ray.
     """
-    points, _ = boundary_points(oracle, claim, start, radius_estimate, precision, rng, 1)
+    points, _, _ = boundary_points(oracle, claim, start, radius_estimate, precision, rng, 1)
     return points[0]
 
 
@@ -355,7 +365,9 @@ def boundary_points(
     precision: int,
     rng: np.random.Generator,
     count: int,
-) -> tuple[np.ndarray, int]:
+    *,
+    directions: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Bisect ``count`` rays from ``start`` to the boundary in blocks.
 
     Each round of :func:`boundary_point` runs for a block of rays at once:
@@ -374,9 +386,11 @@ def boundary_points(
     a lockout falls, once a pass spans several blocks (d >= 256 for
     ``d + 1`` rays). Rays that never left the region are redrawn together
     in the next pass, and the radius estimate doubles after
-    ``_DIRECTION_REDRAWS`` of those. Returns the ``(count, d)`` points
-    and the number of rounds bisected, each of which cost ``precision``
-    queries.
+    ``_DIRECTION_REDRAWS`` of those. ``directions``, ``(count, d)`` unit
+    rows, replaces the first pass's draw; redrawn rays are random either
+    way. Returns the ``(count, d)`` points, each point's ``t`` along its
+    final direction, and the number of rounds bisected, each of which cost
+    ``precision`` queries.
     """
     _require(oracle, OracleMode.BINARY, None, "boundary_points")
     center = as_vector(start, name="start")
@@ -384,14 +398,19 @@ def boundary_points(
     precision = check_count(precision, "precision", minimum=1)
     count = check_count(count, "count", minimum=1)
 
+    if directions is not None and directions.shape != (count, center.size):
+        raise ValueError(f"directions must have shape {(count, center.size)}, got {directions.shape}")
+
     block = max(1, _BLOCK_ELEMENTS // center.size)
     points = np.empty((count, center.size), dtype=np.float64)
+    lengths = np.empty(count)
     pending = np.arange(count)
     rounds = 0
     for radius in (radius_estimate, 2.0 * radius_estimate):
         for _ in range(_DIRECTION_REDRAWS + 1):
             n = len(pending)
-            directions = random_unit_vectors(rng, center.size, n)
+            if directions is None or rounds:  # given directions serve the first pass only
+                directions = random_unit_vectors(rng, center.size, n)
             t = np.empty(n)
             left_region = np.empty(n, dtype=bool)
             blocks = -(-n // block)
@@ -402,9 +421,10 @@ def boundary_points(
                 )
             rounds += n
             points[pending[left_region]] = t[left_region, None] * directions[left_region] + center
+            lengths[pending[left_region]] = t[left_region]
             pending = pending[~left_region]
             if not pending.size:
-                return points, rounds
+                return points, lengths, rounds
     raise OutsidePointError(
         "no probe direction left the acceptance region; the radius estimate is too small"
     )
@@ -441,12 +461,20 @@ class BoundarySearchAttack(Attack):
     used for bracketing. When the solver refuses the points' system as
     ill-conditioned, one point is redrawn (``precision`` more queries), up
     to ``_RESAMPLE_ATTEMPTS`` times.
+
+    ``directions`` picks the rays' design. ``"simplex"`` sends them along
+    the vertices of a randomly turned regular simplex
+    (:func:`simplex_directions`), and the centre comes in closed form. The
+    paper's ``"random"`` draws each direction uniformly and solves the
+    points' system by LU. A redrawn ray or a replaced point is random under
+    either design, and a system holding one is solved by LU.
     """
 
     dim: int
     threshold_estimate: float
     precision: int = 20
     max_seed_attempts: int | None = None
+    directions: str = "simplex"
 
     name: ClassVar[str] = "binary-ours"
     mode: ClassVar[OracleMode] = OracleMode.BINARY
@@ -458,6 +486,8 @@ class BoundarySearchAttack(Attack):
         check_count(self.precision, "precision", minimum=1)
         if self.max_seed_attempts is not None:
             check_count(self.max_seed_attempts, "max_seed_attempts", minimum=1)
+        if self.directions not in DIRECTION_DESIGNS:
+            raise ValueError(f"directions must be one of {', '.join(DIRECTION_DESIGNS)}, got {self.directions!r}")
 
     def _run(self, oracle, claim, rng, breaking_set):
         if breaking_set is None:
@@ -466,27 +496,27 @@ class BoundarySearchAttack(Attack):
             oracle, claim, breaking_set, max_attempts=self.max_seed_attempts
         )
         d = self.dim
-        redraw_rounds = 0
-
-        def next_points(count: int) -> np.ndarray:
-            nonlocal redraw_rounds
-            points, rounds = boundary_points(
-                oracle, claim, seed, float(np.sqrt(self.threshold_estimate)), self.precision, rng, count
-            )
-            redraw_rounds += rounds - count
-            return points
-
-        points = next_points(d + 1)
+        radius = float(np.sqrt(self.threshold_estimate))
+        simplex = simplex_directions(rng, d) if self.directions == "simplex" else None
+        points, t, rounds = boundary_points(
+            oracle, claim, seed, radius, self.precision, rng, d + 1, directions=simplex
+        )
+        redraw_rounds = rounds - (d + 1)
+        # The closed form needs every ray on its simplex vertex.
+        rays = (seed, t, simplex) if simplex is not None and not redraw_rounds else None
         solve_resamples = 0
         while True:
             try:
-                center = sphere_center(points)
+                center = sphere_center(points, rays=rays)
                 break
             except SingularSystemError:
                 if solve_resamples >= _RESAMPLE_ATTEMPTS:
                     raise
-                points[solve_resamples % (d + 1)] = next_points(1)[0]
+                replacement, _, rounds = boundary_points(oracle, claim, seed, radius, self.precision, rng, 1)
+                points[solve_resamples % (d + 1)] = replacement[0]
+                redraw_rounds += rounds - 1
                 solve_resamples += 1
+                rays = None
         extras = {
             "seed_attempts": seed_attempts,
             "boundary_redraws": redraw_rounds,

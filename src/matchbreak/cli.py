@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .attacks import ATTACKS, make_attack
+from .attacks import ATTACKS, DIRECTION_DESIGNS, make_attack
 from .errors import ATTACK_FAILURES, MatchbreakError
 from .evaluation import (
     ExperimentConfig,
@@ -100,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-estimate", type=float, default=None,
                    help="attacker-side threshold guess (default: the calibrated value)")
     p.add_argument("--max-seed-attempts", type=int, default=None)
+    p.add_argument("--directions", choices=DIRECTION_DESIGNS, default=None,
+                   help="binary-ours ray design (default: simplex; random is the paper's)")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("experiment", help="run a batch grid and write reports")

@@ -9,6 +9,7 @@ different keys are statistically independent and reproducible across runs.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -76,4 +77,38 @@ def random_unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.nd
             rows[i] = rng.standard_normal(dim)
             sq_norms[i] = rows[i].dot(rows[i])
     rows /= np.sqrt(sq_norms)[:, None]
+    return rows
+
+
+def simplex_directions(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Draw ``dim + 1`` directions as the rows of a ``(dim + 1, dim)`` array:
+    the vertices of a unit regular simplex centred on the origin, turned by
+    two Householder reflections about directions drawn from ``rng``.
+
+    The rows sum to zero and their Gram matrix ``U^T U`` is ``(dim + 1) /
+    dim`` times the identity, which is what lets :func:`linalg.sphere_center`
+    solve rays along them in closed form. The draw costs ``2 * dim``
+    normals and O(dim^2) arithmetic, where ``dim + 1`` random directions
+    cost ``(dim + 1) * dim`` normals.
+
+    The simplex ``S`` has the vertices ``a (e_i - c 1)`` for ``i < dim`` and
+    ``-1 / sqrt(dim)`` times the all-ones vector, with ``a = sqrt((dim + 1) /
+    dim)`` and ``c = (1 - 1 / sqrt(dim + 1)) / dim``. It is never built on
+    its own: the turned rows are ``S H1 H2 = S - 2 (S v1) v1^T - 2 (S H1 v2)
+    v2^T``, with ``S H1 v2 = S v2 - 2 (v1 . v2) S v1``, and ``S`` is added
+    to the rank-two term in place.
+    """
+    v = random_unit_vectors(rng, dim, 2)
+    a = math.sqrt((dim + 1) / dim)
+    c = (1.0 - 1.0 / math.sqrt(dim + 1)) / dim
+    sums = v.sum(axis=1)
+    along = np.empty((dim + 1, 2))  # S v1, S v2
+    along[:dim] = a * (v.T - c * sums)
+    along[dim] = -sums / math.sqrt(dim)
+    along[:, 1] -= (2.0 * (v[0] @ v[1])) * along[:, 0]
+    rows = (-2.0 * along) @ v
+    rows[:dim] -= a * c
+    diagonal = np.arange(dim)
+    rows[diagonal, diagonal] += a
+    rows[dim] -= 1.0 / math.sqrt(dim)
     return rows

@@ -12,11 +12,14 @@ with
 
     PYTHONPATH=src python tests/golden/repin.py
 
-which prints every field that moved, old -> new, for the change log.
+which prints every field that moved, old -> new, for the change log. With
+``--check`` it prints the same lines and writes nothing, and exits with 1
+if any field moved at all (compared exactly, as a rewrite would see it).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import json
@@ -101,18 +104,25 @@ def moved(old, new, *, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL, path:
     return [] if same else [f"{path}: {old!r} -> {new!r}"]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rerun the golden grids and rewrite their results.")
+    parser.add_argument("--check", action="store_true",
+                        help="print the moved fields, write nothing, and exit 1 if any moved")
+    args = parser.parse_args(argv)
+    any_moved = False
     for path in sorted(GOLDEN_DIR.glob("*.json")):
         golden = json.loads(path.read_text(encoding="utf-8"))
         results = run(golden["config"])
         old = {key: golden.get(key) for key in results}
         lines = moved(old, results, rel_tol=0.0, abs_tol=0.0)
+        any_moved = any_moved or bool(lines)
         print(f"{path.name}: {len(lines)} field(s) moved")
         for line in lines:
             print(f"  {line}")
-        doc = {"config": golden["config"], **results}
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return 0
+        if not args.check:
+            doc = {"config": golden["config"], **results}
+            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 1 if args.check and any_moved else 0
 
 
 if __name__ == "__main__":

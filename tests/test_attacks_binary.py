@@ -25,7 +25,7 @@ from matchbreak.matcher import (
     Threshold,
     sed_score,
 )
-from matchbreak.rng import make_rng, random_unit_vector, random_unit_vectors
+from matchbreak.rng import make_rng, random_unit_vector, random_unit_vectors, simplex_directions
 from matchbreak.synth import (
     _BLOCK_ELEMENTS,
     enrollment_template,
@@ -329,11 +329,11 @@ class TestBoundarySearchAttack:
         bs = gen_breaking_set(model, 9, 400, seed=16)
         oracle = binary_oracle(truth.values, threshold.value)
         real = attacks_module.sphere_center
-        calls = {"n": 0}
+        calls = []
 
         def flaky(points, sq_distances=None, **kw):
-            calls["n"] += 1
-            if calls["n"] == 1:
+            calls.append(kw["rays"])
+            if len(calls) == 1:
                 raise SingularSystemError("forced")
             return real(points, sq_distances, **kw)
 
@@ -344,12 +344,50 @@ class TestBoundarySearchAttack:
         assert result.params["solve_resamples"] == 1
         expected = result.params["seed_attempts"] + precision * (17 + 1)
         assert result.queries_used == expected
+        # the simplex rays go to the closed form; with a random replacement point, to LU
+        assert calls[0] is not None and calls[1] is None
+
+    def test_simplex_rays_solve_in_closed_form_until_one_is_redrawn(self, setup16, monkeypatch):
+        """Under the default design the d + 1 points lie on the rays of a
+        regular simplex from the seed, and the solve gets those rays. A
+        radius estimate of half the true radius leaves some first rays
+        inside; they are redrawn at random, and the points' system goes to
+        LU. The query count is the same formula either way."""
+        model, threshold = setup16
+        truth = enrollment_template(model, 3)
+        bs = gen_breaking_set(model, 3, 400, seed=18)
+        real = attacks_module.sphere_center
+        calls = []
+
+        def keeping(points, *args, **kwargs):
+            calls.append((np.array(points, copy=True), kwargs["rays"]))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(attacks_module, "sphere_center", keeping)
+        for estimate in (threshold.value, threshold.value / 4):
+            attack = BoundarySearchAttack(dim=16, threshold_estimate=estimate, precision=12)
+            result = attack.reconstruct(binary_oracle(truth.values, threshold.value), "t", seed=4, breaking_set=bs)
+            x = result.params
+            assert result.queries_used == x["seed_attempts"] + 12 * (17 + x["boundary_redraws"] + x["solve_resamples"])
+            points, rays = calls[-1]
+            if estimate == threshold.value:
+                assert x["boundary_redraws"] == 0
+                start, t, u = rays
+                assert np.array_equal(points, t[:, None] * u + start)
+                assert np.allclose(u.sum(axis=0), 0.0, atol=1e-14)
+                assert np.allclose(u.T @ u, 17 / 16 * np.eye(16), rtol=0, atol=1e-14)
+                assert np.allclose(result.recovered.values, real(points), rtol=0, atol=1e-12)  # the LU solve
+            else:
+                assert x["boundary_redraws"] > 0 and rays is None
+                assert sed_score(result.recovered.values, truth.values) < threshold.value
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BoundarySearchAttack(dim=16, threshold_estimate=0.0)
         with pytest.raises(ValueError):
             BoundarySearchAttack(dim=16, threshold_estimate=1.0, precision=0)
+        with pytest.raises(ValueError, match="directions"):
+            BoundarySearchAttack(dim=16, threshold_estimate=1.0, directions="orthogonal")
 
 
 class TestLockstep:
@@ -373,7 +411,7 @@ class TestLockstep:
 
     def test_equals_per_point_loop_without_redraws(self, setup24, monkeypatch):
         model, threshold = setup24
-        attack = BoundarySearchAttack(dim=24, threshold_estimate=threshold.value, precision=16)
+        attack = BoundarySearchAttack(dim=24, threshold_estimate=threshold.value, precision=16, directions="random")
         real = attacks_module.sphere_center
         solved = []
 
@@ -402,7 +440,7 @@ class TestLockstep:
         threshold = 0.25
         oracle = binary_oracle(truth, threshold)
         precision = 6
-        points, rounds = attacks_module.boundary_points(
+        points, _, rounds = attacks_module.boundary_points(
             oracle, "t", truth, 0.4 * 0.5, precision, make_rng(15), 5)
         assert rounds == 5 * 9 + 5
         assert oracle.queries == rounds * precision
@@ -416,12 +454,39 @@ class TestLockstep:
         radius = math.sqrt(threshold)
         start = truth + 0.2 * random_unit_vector(make_rng(7), 16)  # accepted, off center: every ray leaves
         oracle = binary_oracle(truth, threshold)
-        points, rounds = attacks_module.boundary_points(oracle, "t", start, radius, 20, make_rng(8), 40)
+        points, _, rounds = attacks_module.boundary_points(oracle, "t", start, radius, 20, make_rng(8), 40)
         assert rounds == 40
         directions = random_unit_vectors(make_rng(8), 16, 40)
         t = np.vecdot(points - start, directions)
         assert np.all((t > 0) & (t <= 2 * radius))
         assert np.allclose(points, start + t[:, None] * directions, rtol=0, atol=1e-14)
+
+    def test_given_directions_replace_the_first_draw_only(self):
+        """Rays along given directions take no draw from the stream; a ray
+        that never leaves is redrawn at random, as without them."""
+        truth = random_unit_vector(make_rng(6), 16)
+        threshold = 0.25
+        start = truth + 0.2 * random_unit_vector(make_rng(7), 16)
+        given = simplex_directions(make_rng(9), 16)
+        rng = make_rng(8)
+        points, t, rounds = attacks_module.boundary_points(
+            binary_oracle(truth, threshold), "t", start, math.sqrt(threshold), 20, rng, 17, directions=given)
+        assert rounds == 17
+        assert np.array_equal(points, t[:, None] * given + start)
+        assert np.array_equal(rng.standard_normal(4), make_rng(8).standard_normal(4))
+
+        # From the centre of the radius-0.5 sphere a bracket of 2 * 0.2 stays
+        # inside: the given rays and eight random redraws fail, and the rays
+        # drawn next leave at the doubled radius.
+        points, t, rounds = attacks_module.boundary_points(
+            binary_oracle(truth, threshold), "t", truth, 0.2, 6, make_rng(8), 17, directions=given)
+        assert rounds == 17 * 10
+        rng = make_rng(8)
+        draws = [random_unit_vectors(rng, 16, 17) for _ in range(9)]
+        assert np.array_equal(points, t[:, None] * draws[-1] + truth)
+        with pytest.raises(ValueError, match="shape"):
+            attacks_module.boundary_points(binary_oracle(truth, threshold), "t", start, 0.5, 6, make_rng(8), 16,
+                                           directions=given)
 
     def test_an_oracle_may_keep_the_batches_it_answered(self):
         """Every halving sends a new array, so a batch the oracle keeps
@@ -500,7 +565,7 @@ class TestLockstep:
                                         threshold=Threshold(0.25, Metric.SED)))
         oracle.enroll("t", truth)
         monkeypatch.setattr(attacks_module, "random_unit_vectors", drawing)
-        points, rounds = attacks_module.boundary_points(oracle, "t", start, 0.2, precision, make_rng(32), count)
+        points, _, rounds = attacks_module.boundary_points(oracle, "t", start, 0.2, precision, make_rng(32), count)
         monkeypatch.undo()
         reference = binary_oracle(truth, 0.25)
         expected, expected_rounds = self.lockstep(reference, "t", start, 0.2, precision, make_rng(32), count)

@@ -167,6 +167,26 @@ class TestAttack:
         result = attack.reconstruct(oracle, "1", seed=make_rng(5), breaking_set=breaking_set)
         json.dumps(result.params)
 
+    def test_directions_flag_sets_the_ray_design(self, model_dir, tmp_path, capsys):
+        """``--directions`` reaches ``binary-ours``; without it the attack
+        keeps its own default, and an unknown design is a usage error."""
+        runs = {}
+        for design in ("random", "simplex", None):
+            out = tmp_path / str(design)
+            flag = ("--directions", design) if design else ()
+            assert run_cli("attack", "--name", "binary-ours", "--model", model_dir, "--target", 1,
+                           "--out", out, "--fmr", 0.05, "--pairs", 20000, *flag) == 0
+            runs[design] = (json.loads((out / "result.json").read_text()),
+                            (out / "recovered.tpl").read_bytes())
+        assert [runs[d][0]["params"]["directions"] for d in ("random", "simplex", None)] == \
+            ["random", "simplex", "simplex"]
+        assert runs[None][1] == runs["simplex"][1] != runs["random"][1]
+        with pytest.raises(SystemExit) as info:
+            run_cli("attack", "--name", "binary-ours", "--model", model_dir, "--target", 1,
+                    "--out", tmp_path / "x", "--directions", "orthogonal")
+        assert info.value.code == 2
+        assert "--directions" in capsys.readouterr().err
+
     def test_unknown_attack_name_is_usage_error(self, model_dir, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli("attack", "--name", "quantum", "--model", model_dir,

@@ -131,16 +131,17 @@ class TestRunExperiment:
             assert row.loss < 1e-2
 
     def test_ill_conditioned_boundary_draw_is_resampled(self):
-        # On this seed the boundary points of target 1's binary-ours row give
-        # a sphere system with condition number 1.4e7; solved as drawn it
-        # lost the template (loss 0.93 in 2678 queries). The solver's guard
-        # resamples one point instead, at P = 20 more queries.
+        # On this seed the boundary points of target 1's binary-ours row, on
+        # random directions, give a sphere system with condition number
+        # 1.4e7; solved as drawn it lost the template (loss 0.93 in 2678
+        # queries). The solver's guard resamples one point instead, at P = 20
+        # more queries.
         seed = 1060813625
         config = ExperimentConfig(
             dim=128, num_identities=300, within_noise_sigma=0.1, fmr_targets=(0.01,),
             num_targets=2, calibration_pairs=100000, model_seed=seed, seed=seed,
             attacks=({"name": "score-sed"}, {"name": "hill", "budget": 4000},
-                     {"name": "binary-baseline"}, {"name": "binary-ours"}),
+                     {"name": "binary-baseline"}, {"name": "binary-ours", "directions": "random"}),
         )
         row = run_experiment(config).rows[-1]
         assert (row.identity, row.attack) == ("1", "binary-ours")
@@ -172,6 +173,7 @@ class TestRunExperiment:
         ({"seed": -1}, ValueError, "seed"),
         ({"model_seed": 2**64}, ValueError, "seed"),
         ({"model_seed": 1.5}, TypeError, "seed"),
+        ({"attacks": ({"name": "binary-ours", "directions": "orthogonal"},)}, ValueError, "directions"),
     ])
     def test_bad_field_refused_at_construction(self, overrides, error, match):
         with pytest.raises(error, match=match):

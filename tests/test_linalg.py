@@ -4,8 +4,12 @@ against another solver. A LAPACK cross-check is kept as a second, independent
 route on random well-conditioned systems.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchbreak import linalg
 from matchbreak.attacks import boundary_points
@@ -14,12 +18,13 @@ from matchbreak.linalg import (
     _PROBES,
     MAX_CONDITION,
     _probe_matrix,
+    _simplex_solve_and_bound,
     _solve_and_bound,
     solve_linear_system,
     sphere_center,
 )
 from matchbreak.matcher import MatchingOracle, Metric, OracleConfig, OracleMode, Threshold
-from matchbreak.rng import make_rng, random_unit_vector
+from matchbreak.rng import make_rng, random_unit_vector, simplex_directions
 
 
 def test_identity_system():
@@ -311,7 +316,7 @@ def test_guard_bound_holds_on_real_sphere_systems():
                                              threshold=Threshold(threshold, Metric.SED)))
         oracle.enroll("t", truth)
         start = truth + 0.9 * np.sqrt(threshold) * random_unit_vector(make_rng(seed, "start"), d)
-        points, _ = boundary_points(oracle, "t", start, np.sqrt(threshold), 20, make_rng(seed), d + 1)
+        points, _, _ = boundary_points(oracle, "t", start, np.sqrt(threshold), 20, make_rng(seed), d + 1)
         a = 2.0 * (points[-1] - points[:-1])
         scaled_kappa = np.linalg.cond(_scaled(a))
         bound = _bound(a)
@@ -364,3 +369,123 @@ def test_overlapping_one_thread_blocks_restore_the_count_when_the_last_leaves(mo
 def test_solve_without_a_bundled_openblas(monkeypatch):
     monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
     assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
+
+
+@st.composite
+def simplex_rays(draw):
+    """Rays ``start + t_i u_i`` along a turned regular simplex in d = 1 to
+    64, with lengths spread on purpose: log-uniform over up to 8 decades,
+    and up to two rays pinched to lengths down to 1e-12, which makes their
+    difference rows nearly equal. ``|start|`` stays below the shortest ray,
+    so that rounding the points moves each within a few ulps of its ray's
+    length and the points' system is the rays' system to working
+    precision. Returns the points, ``(start, t, u)`` and the difference
+    system ``(a, b)`` of the points that LAPACK solves."""
+    d = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.floats(0.0, 8.0))
+    t = 10.0 ** rng.uniform(-spread / 2, spread / 2, d + 1)
+    pinched = rng.choice(d + 1, size=min(d + 1, draw(st.integers(0, 2))), replace=False)
+    t[pinched] = 10.0 ** -draw(st.floats(3.0, 12.0))
+    start = rng.standard_normal(d)
+    start *= draw(st.floats(0.0, 1.0)) * t.min() / np.linalg.norm(start)
+    u = simplex_directions(make_rng(int(rng.integers(2**32))), d)
+    points = t[:, None] * u + start
+    sq = np.einsum("ij,ij->i", points, points)
+    return points, (start, t, u), 2.0 * (points[-1] - points[:-1]), sq[-1] - sq[:-1]
+
+
+class TestSimplexClosedForm:
+    """``sphere_center(points, rays=...)``: the closed-form centre and the
+    structured guard, against LAPACK and the exact condition number."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_rays())
+    def test_equals_lapack_within_the_benchmark_gap_bound(self, case):
+        points, rays, a, b = case
+        try:
+            center = sphere_center(points, rays=rays)
+        except SingularSystemError:
+            assert np.linalg.cond(_scaled(a)) > MAX_CONDITION
+            return
+        solved = np.linalg.solve(a, b)
+        kappa = np.linalg.cond(a)
+        allowed = 8.0 * len(a) * kappa * np.finfo(float).eps * max(1.0, float(np.linalg.norm(solved)))
+        assert np.linalg.norm(center - solved) <= allowed
+
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_rays())
+    def test_structured_bound_is_at_least_the_condition_number(self, case):
+        points, (start, t, u), a, _ = case
+        _, bound = _simplex_solve_and_bound(a, start, t, u, _row_max(a))
+        assert bound >= np.linalg.cond(_scaled(a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_rays())
+    def test_a_bound_above_half_the_limit_goes_to_the_svd(self, case):
+        points, (start, t, u), a, _ = case
+        _, bound = _simplex_solve_and_bound(a, start, t, u, _row_max(a))
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            try:
+                sphere_center(points, rays=(start, t, u))
+            except SingularSystemError:
+                pass
+        assert cond.called == (not bound <= MAX_CONDITION / 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_rays())
+    def test_refuses_exactly_the_systems_above_the_limit(self, case):
+        points, rays, a, _ = case
+        if np.linalg.cond(_scaled(a)) > MAX_CONDITION:
+            with pytest.raises(SingularSystemError, match="condition number"):
+                sphere_center(points, rays=rays)
+        else:
+            sphere_center(points, rays=rays)
+
+    def test_pinched_rays_are_refused_and_the_lu_path_agrees(self):
+        """Two rays of length 1e-9 beside rays of length 1 make two nearly
+        equal difference rows: both routes refuse the system."""
+        d = 16
+        t = np.ones(d + 1)
+        t[[2, 5]] = 1e-9
+        u = simplex_directions(make_rng(3), d)
+        points = t[:, None] * u
+        assert np.linalg.cond(_scaled(2.0 * (points[-1] - points[:-1]))) > MAX_CONDITION
+        with pytest.raises(SingularSystemError, match="condition number"):
+            sphere_center(points, rays=(np.zeros(d), t, u))
+        with pytest.raises(SingularSystemError, match="condition number"):
+            sphere_center(points)
+
+    def test_finds_the_centre_without_a_factorisation(self, monkeypatch):
+        """The closed form takes no LU; the centre is the sphere's."""
+        monkeypatch.setattr(np.linalg, "solve", None)
+        d = 32
+        rng = np.random.default_rng(8)
+        center = rng.standard_normal(d)
+        radius = 1.5
+        start = center + 0.4 * random_unit_vector(make_rng(9), d)
+        u = simplex_directions(make_rng(10), d)
+        # the ray start + t u leaves the sphere at t = -(w.u) + sqrt((w.u)^2 + radius^2 - |w|^2), w = start - center
+        w = start - center
+        wu = u @ w
+        t = -wu + np.sqrt(wu**2 + radius**2 - w @ w)
+        recovered = sphere_center(t[:, None] * u + start, rays=(start, t, u))
+        assert np.allclose(recovered, center, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(("rays", "match"), [
+        (lambda s, t, u: (s, t, u[:-1]), "one ray direction per point"),
+        (lambda s, t, u: (s, -t, u), "positive"),
+        (lambda s, t, u: (s[:-1], t, u), "dimension"),
+        (lambda s, t, u: (s, t, u * np.nan), "non-finite"),
+    ])
+    def test_bad_rays_refused(self, rays, match):
+        d = 4
+        u = simplex_directions(make_rng(1), d)
+        t, start = np.ones(d + 1), np.zeros(d)
+        with pytest.raises(ValueError, match=match):
+            sphere_center(u, rays=rays(start, t, u))
+
+    def test_rays_take_no_distances(self):
+        u = simplex_directions(make_rng(1), 3)
+        with pytest.raises(ValueError, match="sq_distances"):
+            sphere_center(u, np.ones(4), rays=(np.zeros(3), np.ones(4), u))

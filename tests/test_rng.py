@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matchbreak.rng import as_generator, make_rng, random_unit_vector, random_unit_vectors
+from matchbreak.rng import as_generator, make_rng, random_unit_vector, random_unit_vectors, simplex_directions
 
 
 def test_same_seed_same_stream():
@@ -114,3 +114,27 @@ def test_random_unit_vectors_redraw_a_zero_row():
     # the stub's first draw holds stream rows 0-2; the redraw is stream row 3
     stream = [row / np.linalg.norm(row) for row in make_rng(6).standard_normal((4, 5))]
     assert np.array_equal(rows, np.stack([stream[3], stream[1], stream[2]]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 128])
+def test_simplex_directions_are_a_turned_regular_simplex(dim):
+    """Unit rows that sum to zero with ``U^T U = (d + 1) / d * I``, turned
+    by the stream: two draws differ, one seed repeats, and the draw takes
+    ``2 * dim`` normals."""
+    rng = make_rng(3)
+    u = simplex_directions(rng, dim)
+    assert u.shape == (dim + 1, dim)
+    assert np.allclose(np.vecdot(u, u), 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(u.sum(axis=0), 0.0, rtol=0, atol=1e-14)
+    assert np.allclose(u.T @ u, (dim + 1) / dim * np.eye(dim), rtol=0, atol=1e-14)
+    assert np.array_equal(u, simplex_directions(make_rng(3), dim))
+    after = make_rng(3)
+    after.standard_normal((2, dim))
+    assert np.array_equal(rng.standard_normal(3), after.standard_normal(3))
+    if dim > 1:
+        assert not np.allclose(u, simplex_directions(make_rng(4), dim))
+
+
+def test_simplex_directions_bad_dim():
+    with pytest.raises(ValueError, match="dim"):
+        simplex_directions(make_rng(0), 0)
