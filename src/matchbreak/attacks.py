@@ -420,6 +420,10 @@ def boundary_points(
                     oracle, claim, center, directions[rows], 2.0 * radius, precision
                 )
             rounds += n
+            if n == count and left_region.all():  # the usual first pass: no gathered temporaries
+                np.multiply(t[:, None], directions, out=points)
+                points += center
+                return points, t, rounds
             points[pending[left_region]] = t[left_region, None] * directions[left_region] + center
             lengths[pending[left_region]] = t[left_region]
             pending = pending[~left_region]

@@ -9,7 +9,9 @@ the model parameters and an explicit seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,6 +119,27 @@ def gen_identity_model(
     )
 
 
+def _mapped_empty(rows: int, dim: int) -> np.ndarray:
+    """An uninitialised ``(rows, dim)`` float64 array in a private anonymous
+    mapping of its own, advised to use huge pages before its first touch.
+
+    Freeing the array unmaps it, so glibc's heap never holds it. A block of
+    up to 32 MiB that glibc itself mmapped raises its mmap threshold to that
+    size when freed; every later block of that size then comes from the brk
+    heap, where it stays resident once freed and is split by small
+    allocations. Without ``MAP_PRIVATE`` (Windows) this is ``np.empty``;
+    without ``MADV_HUGEPAGE`` (macOS) the advice is skipped, and so it is
+    where the kernel refuses it (built without transparent huge pages).
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty((rows, dim))
+    buf = mmap.mmap(-1, rows * dim * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(rows, dim)
+
+
 def _identity_index(model: IdentityModel, identity) -> int:
     if isinstance(identity, str):
         try:
@@ -179,10 +202,8 @@ class BreakingSet:
 def _to_samples(rows: np.ndarray, centers: np.ndarray, labels, sigma: float, unit_norm: bool) -> np.ndarray:
     """Turn the standard normals in ``rows`` into samples of
     ``centers[labels]``, in place, and return the samples' norms before any
-    normalisation. The centers are gathered here so that they are freed
-    before the norms are taken: with the gathered centers held through the
-    call, a 4000 x 128 breaking set was placed at another heap offset and
-    scoring it in one batch took about 40% longer."""
+    normalisation. The centers are gathered here so that the gathered copy
+    is freed before the norms are taken."""
     rows *= sigma
     rows += centers[labels]
     norms = np.linalg.norm(rows, axis=1)
@@ -201,13 +222,19 @@ def gen_breaking_set(
     unit_norm: bool = True,
     seed: SeedLike,
 ) -> BreakingSet:
-    """Draw ``size`` samples cycling round-robin over all non-target identities."""
+    """Draw ``size`` samples cycling round-robin over all non-target identities.
+
+    The ``(size, d)`` values are drawn into an array from
+    :func:`_mapped_empty`, so a breaking set that is freed leaves no
+    resident memory behind, whatever its size.
+    """
     idx = _identity_index(model, exclude_identity)
     check_count(size, "size", minimum=1)
     others = np.delete(np.arange(model.num_identities, dtype=np.intp), idx)
     labels = others[np.arange(size) % len(others)]
 
-    values = as_generator(seed).standard_normal((size, model.dim))
+    values = _mapped_empty(size, model.dim)
+    as_generator(seed).standard_normal(out=values)
     _to_samples(values, model.centers, labels, model.within_noise_sigma, unit_norm)
     labels.setflags(write=False)
     values.setflags(write=False)
@@ -239,18 +266,19 @@ def _pair_scores(
     is the einsum of the pair, divided by the product of the norms unless
     the samples are unit-norm.
 
-    Memory is one ``(_CHUNK_PAIRS, d)`` buffer, reused by every chunk for
-    ``a``, plus a few row blocks of about ``_BLOCK_ELEMENTS`` values: each
-    block of ``a`` is finished in place, and ``b`` is drawn block by block
-    into one block buffer, which continues the generator's stream exactly
-    where one draw of all ``m × d`` normals would.
+    Memory is one ``(_CHUNK_PAIRS, d)`` buffer from :func:`_mapped_empty`,
+    reused by every chunk for ``a`` and unmapped on return, plus a few row
+    blocks of about ``_BLOCK_ELEMENTS`` values: each block of ``a`` is
+    finished in place, and ``b`` is drawn block by block into one block
+    buffer, which continues the generator's stream exactly where one draw
+    of all ``m × d`` normals would.
     """
     metric = Metric(metric)
     check_count(n_pairs, "n_pairs", minimum=1)
     rng = as_generator(seed)
     n, centers, sigma = model.num_identities, model.centers, model.within_noise_sigma
     out = np.empty(n_pairs, dtype=np.float64)
-    a_buf = np.empty((min(_CHUNK_PAIRS, n_pairs), model.dim))
+    a_buf = _mapped_empty(min(_CHUNK_PAIRS, n_pairs), model.dim)
     block = max(1, _BLOCK_ELEMENTS // model.dim)
     b_buf = np.empty((min(block, len(a_buf)), model.dim))
     for done in range(0, n_pairs, _CHUNK_PAIRS):

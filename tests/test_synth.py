@@ -1,4 +1,10 @@
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,23 +241,98 @@ class TestPairScores:
             assert np.array_equal(scores, expected), n_pairs
             assert rng.random() == ref_rng.random(), n_pairs
 
-    def test_memory_is_one_chunk_buffer(self):
-        """40,000 pairs at d=256 peak below 1.5 chunks of (20000, 256) float64;
+    def test_memory_is_one_chunk_buffer(self, monkeypatch):
+        """Each call asks ``_mapped_empty`` for one ``(min(20000, n), d)``
+        chunk buffer, which tracemalloc cannot see, and everything else it
+        allocates peaks below four 512 KB row blocks (about 3.2 at d=256);
         building whole-chunk temporaries peaked near 196 MiB."""
         wide = gen_identity_model(256, 50, seed=2)
-        chunk_bytes = 20000 * 256 * 8
-        tracemalloc.start()
-        try:
-            impostor_scores(wide, Metric.SED, 40000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * chunk_bytes
+        mapped_empty, asked = synth._mapped_empty, []
+
+        def recording(rows, dim):
+            asked.append(rows * dim * 8)
+            return mapped_empty(rows, dim)
+
+        monkeypatch.setattr(synth, "_mapped_empty", recording)
+        for n_pairs in (40000, 1000):
+            asked.clear()
+            tracemalloc.start()
+            try:
+                impostor_scores(wide, Metric.SED, n_pairs, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert asked == [min(20000, n_pairs) * 256 * 8]
+            assert peak < 4 * synth._BLOCK_ELEMENTS * 8
 
     def test_cosine_range(self, model):
         scores = impostor_scores(model, Metric.COSINE, 1000, seed=9)
         assert np.all(scores >= -1.0 - 1e-12)
         assert np.all(scores <= 1.0 + 1e-12)
+
+
+class TestMappedArrays:
+    @pytest.mark.parametrize("name, value", [("MAP_PRIVATE", None), ("MADV_HUGEPAGE", None), ("MADV_HUGEPAGE", -1)],
+                             ids=["no-private-mapping", "no-huge-page-advice", "advice-refused"])
+    def test_same_bits_whatever_the_platform_offers(self, model, monkeypatch, name, value):
+        """Breaking sets and calibration scores do not depend on where their
+        arrays live: ``np.empty`` where ``mmap`` has no ``MAP_PRIVATE``
+        (Windows), no advice without ``MADV_HUGEPAGE`` (macOS) or where the
+        kernel refuses it."""
+        def draw():
+            return (
+                gen_breaking_set(model, 1, 300, seed=7).values,
+                impostor_scores(model, Metric.SED, 20001, seed=7),
+                genuine_scores(model, Metric.COSINE, 500, unit_norm=False, seed=7),
+            )
+
+        mapped = draw()
+        if value is None:
+            monkeypatch.delattr(mmap, name, raising=False)
+        else:
+            monkeypatch.setattr(mmap, name, value)
+        for a, b in zip(mapped, draw()):
+            assert np.array_equal(a, b)
+        owns_its_data = synth._mapped_empty(3, 2).base is None
+        assert owns_its_data is (name == "MAP_PRIVATE")
+
+    def test_resident_memory_follows_live_memory(self):
+        """Rebuilding four d=512, 4000-row breaking sets while the old ones
+        are still referenced, as a benchmark set-up does, leaves resident
+        memory where the first build left it. With the sets on glibc's heap
+        the freed sets stayed resident: 77 MB above the start after the
+        first build, then 124 and 140 MB."""
+        if not Path("/proc/self/status").is_file():
+            pytest.skip("needs /proc/self/status")
+        script = textwrap.dedent("""
+            import matchbreak as mb
+
+            def vm_rss_mb():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmRSS:"):
+                            return int(line.split()[1]) / 1024
+
+            model = mb.gen_identity_model(512, 300, seed=1)
+
+            def build():
+                return {t: mb.gen_breaking_set(model, t, 4000, seed=mb.make_rng(1, "breaking-set", t))
+                        for t in range(4)}
+
+            start = vm_rss_mb()
+            sets = build()
+            print(vm_rss_mb() - start)
+            for _ in range(2):
+                sets = build()
+                print(vm_rss_mb() - start)
+        """)
+        src = str(Path(synth.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        first, *rebuilt = (float(line) for line in proc.stdout.split())
+        assert first > 60.0  # the four sets are 65.5 MB
+        assert all(rss < first + 8.0 for rss in rebuilt), (first, rebuilt)
 
 
 class TestPersistence:
