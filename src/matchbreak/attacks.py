@@ -5,12 +5,12 @@ All attacks are black box: they interact with the oracle only through its
 number of probes the oracle answered during the run, so it needs no ledger
 round trip and does not include other clients' queries. Probes that do not
 depend on each other's answers go out in ``authenticate_*_many`` batches.
-Four families are implemented:
+Five attacks are implemented:
 
-* ``score-sed``: solve the distance equations released by a squared-Euclidean
-  score oracle; ``d + 1`` probes pin the enrolled template exactly.
-* ``score-cos``: solve the linear system released by a cosine score oracle;
-  ``d`` orthonormal probes recover the template direction.
+* ``score-sed``: read the enrolled template off the squared-Euclidean scores
+  of ``d + 1`` probes on a turned regular simplex, in closed form.
+* ``score-cos``: read the template direction off the cosine scores of ``d``
+  turned orthonormal probes, as ``P^T s``.
 * ``hill``: score-guided random hill climbing, the classical baseline.
 * ``binary-baseline``: average every breaking-set member a decision oracle
   accepts.
@@ -41,9 +41,16 @@ from .errors import (
     OutsidePointError,
     SingularSystemError,
 )
-from .linalg import solve_linear_system, sphere_center
+from .linalg import sphere_center
 from .matcher import Metric, OracleMode
-from .rng import SeedLike, as_generator, random_unit_vector, random_unit_vectors, simplex_directions
+from .rng import (
+    SeedLike,
+    as_generator,
+    orthonormal_directions,
+    random_unit_vector,
+    random_unit_vectors,
+    simplex_directions,
+)
 from .synth import _BLOCK_ELEMENTS, BreakingSet
 from .templates import Template, normalize
 from .validation import as_vector, check_count, check_positive
@@ -53,7 +60,7 @@ from .validation import as_vector, check_count, check_positive
 DIRECTION_DESIGNS = ("simplex", "random")
 
 # Retry budgets; they decide when an attack gives up, not what a success costs.
-_RESAMPLE_ATTEMPTS = 4  # fresh probe sets or boundary points after the solver refuses a system
+_RESAMPLE_ATTEMPTS = 4  # binary-ours' fresh boundary points after the solver refuses their system
 _DIRECTION_REDRAWS = 8  # per bracket radius, for rays that never left the acceptance region
 
 
@@ -163,9 +170,11 @@ def _require(oracle, mode: OracleMode, metric: Metric | None, attack_name: str) 
 class SedScoreAttack(Attack):
     """Recover a template from ``dim + 1`` released squared-distance scores.
 
-    Random probes all see the template at a known squared distance, so the
-    template is the center of a sphere through the probes and is found by one
-    linear solve. Degenerate probe draws are resampled.
+    The probes are the unit vertices ``u_i`` of a randomly turned regular
+    simplex (:func:`simplex_directions`). Their scores ``s_i = 1 - 2 u_i . c
+    + |c|^2`` give the template in closed form: the vertices sum to zero and
+    ``U^T U = (d + 1) / d * I``, so ``c = -d / (2 (d + 1)) * s @ U``, one
+    matrix-vector product with no system to refuse.
     """
 
     dim: int
@@ -179,17 +188,20 @@ class SedScoreAttack(Attack):
 
     def _run(self, oracle, claim, rng, breaking_set):
         d = self.dim
-        center, extras = _solve_scores(oracle, claim, lambda: rng.standard_normal((d + 1, d)), sphere_center)
-        return center, False, extras
+        probes = simplex_directions(rng, d)
+        scores = oracle.authenticate_score_many(claim, probes)
+        return (-0.5 * d / (d + 1.0)) * (scores @ probes), False, {}
 
 
 @dataclass(frozen=True)
 class CosineScoreAttack(Attack):
     """Recover a template direction from ``dim`` released cosine scores.
 
-    An orthonormal probe basis makes the score system perfectly conditioned,
-    so score noise is not amplified by the solve. Cosine discards the norm,
-    hence the result is returned unit-normalized.
+    The probes are the rows of a randomly turned orthonormal basis ``P``
+    (:func:`orthonormal_directions`), so the scores are ``P c / |c|`` and
+    the direction is ``P^T s`` with no solve; score noise is only turned,
+    not amplified. Cosine discards the norm, hence the result is returned
+    unit-normalized.
     """
 
     dim: int
@@ -202,34 +214,9 @@ class CosineScoreAttack(Attack):
         check_count(self.dim, "dim", minimum=1)
 
     def _run(self, oracle, claim, rng, breaking_set):
-        direction, extras = _solve_scores(
-            oracle, claim, lambda: _orthonormal_probes(rng, self.dim), solve_linear_system
-        )
-        return normalize(direction).values, True, extras
-
-
-def _solve_scores(oracle, claim, draw_probes, solve):
-    """Solve the released scores of drawn probes, drawing fresh probes
-    (up to ``_RESAMPLE_ATTEMPTS`` times) while the solver refuses their
-    system."""
-    last_error = None
-    for attempt in range(_RESAMPLE_ATTEMPTS + 1):
-        probes = draw_probes()
+        probes = orthonormal_directions(rng, self.dim)
         scores = oracle.authenticate_score_many(claim, probes)
-        try:
-            return solve(probes, scores), {"probe_resamples": attempt}
-        except SingularSystemError as exc:
-            last_error = exc
-    raise SingularSystemError(
-        f"probe geometry stayed singular after {_RESAMPLE_ATTEMPTS} resamples"
-    ) from last_error
-
-
-def _orthonormal_probes(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return (q * signs).T
+        return normalize(scores @ probes).values, True, {}
 
 
 @dataclass(frozen=True)

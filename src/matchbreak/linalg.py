@@ -1,10 +1,10 @@
-"""Dense linear solving for the geometric reconstruction attacks.
+"""The guarded sphere-centre solve of ``binary-ours``.
 
 LAPACK (``np.linalg.solve``) does the solving behind a conditioning guard,
-because the attacks need a hard failure signal: when the chosen probe
-geometry yields a system whose row-scaled 2-norm condition number exceeds
+because the attack needs a hard failure signal: when its boundary points
+yield a system whose row-scaled 2-norm condition number exceeds
 :data:`MAX_CONDITION`, the solver raises :class:`SingularSystemError` so the
-caller can resample its probes instead of accepting an unreliable solution.
+caller can replace a point instead of accepting an unreliable solution.
 The guard and the solve run on one BLAS thread (:func:`_one_blas_thread`).
 
 The exact condition number costs an SVD, about eight solves at d=512, so
@@ -85,25 +85,15 @@ _OPENBLAS_THREAD_CALLS = (
 )
 
 
-def solve_linear_system(a, b) -> np.ndarray:
-    """Solve ``a @ x == b`` for square ``a``.
+def _guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x == b`` for a finite square ``a`` and a finite ``b`` of
+    its size, which the caller has checked.
 
     Raises :class:`SingularSystemError` when ``a`` has a zero row, when
     LAPACK cannot factorise it, or when the condition number of ``a``
     with each row divided by its largest magnitude is above
     :data:`MAX_CONDITION` (or not finite).
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"coefficient matrix must be square and nonempty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("coefficient matrix contains non-finite values")
-    return _guarded_solve(a, as_vector(b, name="right-hand side", dim=a.shape[0]))
-
-
-def _guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`solve_linear_system` for a finite square ``a`` and a finite
-    ``b`` of its size, which the caller has checked."""
     return _guarded(a, lambda scale: _solve_and_bound(a, b, scale))
 
 
@@ -222,14 +212,16 @@ _blas_threads_before = 0
 def _one_blas_thread():
     """Run the block with OpenBLAS on one thread, then restore its count.
 
-    On two CPUs OpenBLAS splits a d=512 guard and solve between two
-    threads and waits for the slower, so the call slows down whenever the
-    other CPU is busy: beside a process busy 40% of the time it took 49 ms
-    in the mean and up to 300 ms, against 34 ms and at most 50 ms on one
-    thread. Its worker also spins for a while after every call, so with a
-    solve every 80 ms it never rests and a recovery loop burns 1.6 CPUs
-    instead of 1. One thread also makes the solution's bits independent of
-    the machine's CPU count.
+    One thread makes the solution's bits independent of the thread count:
+    without the pin, LU solves of 20 random systems each at d=128 and
+    d=512, and 5 random-ray :func:`sphere_center` solves at d=128, gave
+    other bits under ``OPENBLAS_NUM_THREADS=2`` than under ``=1`` (2-vCPU
+    VM). It also keeps a solve off a busy second CPU: OpenBLAS splits a
+    d=512 guard and solve between two threads and waits for the slower, so
+    beside a process busy 40% of the time the call took 49 ms in the mean
+    and up to 300 ms, against 34 ms and at most 50 ms on one thread. Its
+    worker also spins for a while after every call, so with a solve every
+    80 ms it never rests and a recovery loop burns 1.6 CPUs instead of 1.
 
     The count is process-wide: the first block in sets it and the last one
     out restores it, so blocks in several threads may overlap. Without a

@@ -112,3 +112,18 @@ def simplex_directions(rng: np.random.Generator, dim: int) -> np.ndarray:
     rows[diagonal, diagonal] += a
     rows[dim] -= 1.0 / math.sqrt(dim)
     return rows
+
+
+def orthonormal_directions(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Draw ``dim`` orthonormal directions as the rows of a ``(dim, dim)``
+    array: the identity turned by two Householder reflections about
+    directions drawn from ``rng`` (``2 * dim`` normals, O(dim^2)), as
+    :func:`simplex_directions` turns its simplex. The rows are ``H1 H2 = I
+    - 2 v1 v1^T - 2 (H1 v2) v2^T``, with ``H1 v2 = v2 - 2 (v1 . v2) v1``.
+    """
+    v = random_unit_vectors(rng, dim, 2)
+    along = v.T.copy()  # v1, H1 v2
+    along[:, 1] -= (2.0 * (v[0] @ v[1])) * v[0]
+    rows = (-2.0 * along) @ v
+    rows[np.diag_indices(dim)] += 1.0
+    return rows

@@ -4,7 +4,7 @@ Each ``*.json`` file in this directory holds an ``ExperimentConfig`` under
 ``config`` and the results of running it: the report fingerprint, the
 calibrated threshold of each false-match rate, and per row the report's
 fields (wall time excepted) with the attack's extras (seed attempts,
-boundary redraws, solve and probe resamples, accepted indices, ...).
+boundary redraws, solve resamples, accepted indices, ...).
 ``tests/test_golden.py`` reruns every config and compares.
 
 After a change that is meant to move results, rerun and rewrite the files
@@ -83,14 +83,26 @@ def run(config: dict) -> dict:
     return json.loads(json.dumps(results))
 
 
+class _Absent:
+    """The value of a key one document lacks, apart from a ``null`` one."""
+
+    def __repr__(self):
+        return "<absent>"
+
+
+_ABSENT = _Absent()
+
+
 def moved(old, new, *, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL, path: str = "") -> list[str]:
     """The fields that differ between two JSON documents, as ``path: old
-    -> new`` lines. Two floats differ when they are not close within the
-    tolerances; anything else differs when its type or value does."""
+    -> new`` lines, with ``<absent>`` for a key one of them lacks. Two
+    floats differ when they are not close within the tolerances; anything
+    else differs when its type or value does."""
     if isinstance(old, dict) and isinstance(new, dict):
         lines = []
         for key in sorted(old.keys() | new.keys()):
-            lines += moved(old.get(key), new.get(key), rel_tol=rel_tol, abs_tol=abs_tol, path=f"{path}.{key}")
+            lines += moved(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                           rel_tol=rel_tol, abs_tol=abs_tol, path=f"{path}.{key}")
         return lines
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         lines = []

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import matchbreak.attacks as attacks_module
 from matchbreak.attacks import (
     CosineScoreAttack,
     HillClimbAttack,
     SedScoreAttack,
     make_attack,
 )
-from matchbreak.errors import OracleModeError, SingularSystemError
+from matchbreak.errors import OracleModeError
 from matchbreak.matcher import MatchingOracle, Metric, OracleConfig, OracleMode, Threshold
-from matchbreak.rng import make_rng, random_unit_vector
+from matchbreak.rng import make_rng, random_unit_vector, random_unit_vectors
 from matchbreak.synth import enrollment_template, gen_identity_model
 
 
@@ -80,37 +81,6 @@ class TestSedScoreAttack:
         with pytest.raises(OracleModeError, match="sed"):
             SedScoreAttack(dim=128).reconstruct(oracle, "t", seed=1)
 
-    def test_singular_probes_resampled(self, model, monkeypatch):
-        truth = enrollment_template(model, 4)
-        oracle = score_oracle(truth.values)
-        real = attacks_module.sphere_center
-        calls = {"n": 0}
-
-        def flaky(points, sq_distances=None, **kw):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise SingularSystemError("forced")
-            return real(points, sq_distances, **kw)
-
-        monkeypatch.setattr(attacks_module, "sphere_center", flaky)
-        result = SedScoreAttack(dim=128).reconstruct(oracle, "t", seed=1)
-        assert result.params["probe_resamples"] == 1
-        assert result.queries_used == 2 * 129
-
-    def test_resamples_exhausted(self, model, monkeypatch):
-        """After the fixed number of resamples the attack gives up, having
-        paid for every probe set it drew."""
-        truth = enrollment_template(model, 4)
-        oracle = score_oracle(truth.values)
-        monkeypatch.setattr(
-            attacks_module, "sphere_center",
-            lambda *a, **k: (_ for _ in ()).throw(SingularSystemError("forced")),
-        )
-        attempts = attacks_module._RESAMPLE_ATTEMPTS
-        with pytest.raises(SingularSystemError, match=f"after {attempts} resamples") as info:
-            SedScoreAttack(dim=128).reconstruct(oracle, "t", seed=1)
-        assert info.value.queries_used == oracle.queries == (attempts + 1) * 129
-
 
 class TestCosineScoreAttack:
     def test_exact_scores_recover_direction(self, model):
@@ -146,6 +116,46 @@ class TestCosineScoreAttack:
         oracle = score_oracle(truth.values, metric=Metric.SED)
         with pytest.raises(OracleModeError, match="cosine"):
             CosineScoreAttack(dim=128).reconstruct(oracle, "t", seed=1)
+
+
+@st.composite
+def templates(draw):
+    """A template in d = 1 to 64 with a norm from 1e-3 to 1e3."""
+    d = draw(st.integers(1, 64))
+    direction = random_unit_vector(make_rng(draw(st.integers(0, 2**32 - 1))), d)
+    return direction * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+class TestClosedForms:
+    """Both score attacks read the template off one batch of scores in
+    closed form, whatever its dimension and norm."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(templates(), st.integers(0, 2**32 - 1))
+    def test_sed_recovers_the_template_in_dim_plus_one_queries(self, truth, seed):
+        result = SedScoreAttack(dim=truth.size).reconstruct(score_oracle(truth), "t", seed=seed)
+        assert result.queries_used == truth.size + 1
+        assert np.sum((result.recovered.values - truth) ** 2) <= 1e-20 * (truth @ truth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(templates(), st.integers(0, 2**32 - 1))
+    def test_cos_recovers_the_direction_in_dim_queries(self, truth, seed):
+        oracle = score_oracle(truth, metric=Metric.COSINE)
+        result = CosineScoreAttack(dim=truth.size).reconstruct(oracle, "t", seed=seed)
+        assert result.queries_used == truth.size
+        assert 1.0 - result.recovered.values @ truth / np.linalg.norm(truth) <= 1e-12
+
+    @pytest.mark.parametrize(("attack", "metric"), [
+        (SedScoreAttack, Metric.SED),
+        (CosineScoreAttack, Metric.COSINE),
+    ])
+    def test_probe_draw_takes_two_dim_normals(self, attack, metric):
+        d = 32
+        rng = make_rng(5)
+        attack(dim=d).reconstruct(score_oracle(random_unit_vector(make_rng(6), d), metric=metric), "t", seed=rng)
+        after = make_rng(5)
+        random_unit_vectors(after, d, 2)
+        assert np.array_equal(rng.standard_normal(3), after.standard_normal(3))
 
 
 class TestHillClimbAttack:
@@ -243,7 +253,6 @@ class TestFactory:
         result = make_attack("score-sed", dim=128).reconstruct(oracle, "t", seed=1)
         assert result.attack_name == "score-sed"
         assert result.params["dim"] == 128
-        assert "probe_resamples" in result.params
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -252,8 +261,3 @@ class TestFactory:
             HillClimbAttack(dim=4, step_size=0.0)
         with pytest.raises((TypeError, ValueError)):
             HillClimbAttack(dim=4, budget=-1)
-
-
-def test_orthonormal_probe_basis():
-    probes = attacks_module._orthonormal_probes(make_rng(0), 32)
-    assert np.allclose(probes @ probes.T, np.eye(32), atol=1e-12)

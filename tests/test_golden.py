@@ -47,3 +47,13 @@ def test_repin_check_prints_moved_fields_and_writes_nothing(tmp_path, monkeypatc
     out = capsys.readouterr().out
     assert "lockout-d24.json: 1 field(s) moved" in out and ".rows[0].queries" in out
     assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize(("old", "new", "lines"), [
+    ({"a": None}, {}, [".a: None -> <absent>"]),
+    ({"a": 0}, {}, [".a: 0 -> <absent>"]),
+    ({}, {"a": None}, [".a: <absent> -> None"]),
+    ({"a": None}, {"a": None}, []),
+])
+def test_moved_tells_an_absent_key_from_null(old, new, lines):
+    assert repin.moved(old, new) == lines

@@ -1,9 +1,14 @@
-"""The solver is exercised construct-then-solve: systems are built from a
-known solution, so correctness is checked against ground truth rather than
-against another solver. A LAPACK cross-check is kept as a second, independent
-route on random well-conditioned systems.
+"""The guarded solve behind :func:`sphere_center` is exercised
+construct-then-solve: systems are built from a known solution, so
+correctness is checked against ground truth rather than against another
+solver. A LAPACK cross-check is kept as a second, independent route on
+random well-conditioned systems.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,27 +24,33 @@ from matchbreak.linalg import (
     MAX_CONDITION,
     _probe_matrix,
     _simplex_solve_and_bound,
+    _guarded_solve,
     _solve_and_bound,
-    solve_linear_system,
     sphere_center,
 )
 from matchbreak.matcher import MatchingOracle, Metric, OracleConfig, OracleMode, Threshold
 from matchbreak.rng import make_rng, random_unit_vector, simplex_directions
 
 
+def guarded_solve(a, b):
+    """The guarded LU solve of ``a @ x == b``, on float arrays as
+    :func:`sphere_center` hands it them."""
+    return _guarded_solve(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+
+
 def test_identity_system():
-    assert np.array_equal(solve_linear_system(np.eye(3), [4.0, 5.0, 6.0]), [4.0, 5.0, 6.0])
+    assert np.array_equal(guarded_solve(np.eye(3), [4.0, 5.0, 6.0]), [4.0, 5.0, 6.0])
 
 
 def test_diagonal_system():
-    x = solve_linear_system([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
+    x = guarded_solve([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
     assert np.allclose(x, [1.0, 2.0], rtol=0, atol=1e-15)
 
 
 def test_permuted_diagonal_needs_pivoting():
     # without row exchanges the first pivot would be zero
     a = [[0.0, 1.0], [1.0, 0.0]]
-    x = solve_linear_system(a, [3.0, 7.0])
+    x = guarded_solve(a, [3.0, 7.0])
     assert np.allclose(x, [7.0, 3.0], rtol=0, atol=1e-15)
 
 
@@ -47,7 +58,7 @@ def test_scaled_pivoting_handles_badly_scaled_rows():
     # naive partial pivoting would pick the 1e10 row first and lose accuracy
     a = np.array([[1e10, 1e10], [1.0, 2.0]])
     x_true = np.array([1.0, -1.0])
-    x = solve_linear_system(a, a @ x_true)
+    x = guarded_solve(a, a @ x_true)
     assert np.allclose(x, x_true, rtol=1e-10)
 
 
@@ -56,7 +67,7 @@ def test_recovers_known_solution(n):
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n))
     x_true = rng.standard_normal(n)
-    x = solve_linear_system(a, a @ x_true)
+    x = guarded_solve(a, a @ x_true)
     assert np.allclose(x, x_true, rtol=1e-8, atol=1e-10)
 
 
@@ -65,50 +76,53 @@ def test_agrees_with_lapack():
     for _ in range(10):
         a = rng.standard_normal((32, 32))
         b = rng.standard_normal(32)
-        assert np.allclose(solve_linear_system(a, b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-12)
+        assert np.allclose(guarded_solve(a, b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-12)
 
 
 def test_residual_bound():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((48, 48))
     b = rng.standard_normal(48)
-    x = solve_linear_system(a, b)
+    x = guarded_solve(a, b)
     residual = np.max(np.abs(a @ x - b))
     assert residual <= 1e-9 * max(1.0, np.max(np.abs(b)))
 
 
 def test_zero_matrix_is_singular():
     with pytest.raises(SingularSystemError, match="singular"):
-        solve_linear_system(np.zeros((3, 3)), np.ones(3))
+        guarded_solve(np.zeros((3, 3)), np.ones(3))
 
 
 def test_duplicated_rows_are_singular():
     a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [1.0, 2.0, 3.0]])
     with pytest.raises(SingularSystemError):
-        solve_linear_system(a, np.ones(3))
+        guarded_solve(a, np.ones(3))
 
 
 def test_near_singular_pivot_rejected():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
     with pytest.raises(SingularSystemError):
-        solve_linear_system(a, [1.0, 2.0])
+        guarded_solve(a, [1.0, 2.0])
 
 
 def test_non_square_rejected():
-    with pytest.raises(ValueError, match="square"):
-        solve_linear_system(np.ones((2, 3)), np.ones(2))
+    # d + 2 points would make a (d + 1)-by-d difference system
+    with pytest.raises(ValueError, match="need exactly 4 points"):
+        sphere_center(np.random.default_rng(0).standard_normal((5, 3)))
 
 
 def test_rhs_length_checked():
-    with pytest.raises(Exception):
-        solve_linear_system(np.eye(3), np.ones(2))
+    # the squared distances enter the right-hand side, one per point
+    pts = np.random.default_rng(0).standard_normal((4, 3))
+    with pytest.raises(ValueError, match="sq_distances"):
+        sphere_center(pts, np.ones(5))
 
 
 def test_non_finite_rejected():
-    a = np.eye(2)
-    a[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        solve_linear_system(a, np.ones(2))
+    pts = np.random.default_rng(0).standard_normal((4, 3))
+    pts[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        sphere_center(pts)
 
 
 class TestSphereCenter:
@@ -240,12 +254,12 @@ def test_guard_decides_as_the_exact_condition_number(kappa, cleared_by_bound, ac
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     if accepted:
-        x = solve_linear_system(a, b)
+        x = guarded_solve(a, b)
         monkeypatch.undo()
         _check_accepted_solution(a, b, x)
     else:
         with pytest.raises(SingularSystemError, match="condition number"):
-            solve_linear_system(a, b)
+            guarded_solve(a, b)
     assert solves == [(d, 1 + _PROBES)]
 
 
@@ -267,17 +281,17 @@ def test_guard_falls_back_when_the_probe_solve_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(a.shape))
     for a in ([[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-12]]):
         with pytest.raises(SingularSystemError, match="could not factorise") as info:
-            solve_linear_system(a, [3.0, 4.0])
+            guarded_solve(a, [3.0, 4.0])
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert solves == [(2, 1 + _PROBES)] * 2
     assert conds == []
 
 
 def _guard_verdict(a, b):
-    """Whether ``solve_linear_system`` accepts ``a``; an accepted solution
+    """Whether the guarded solve accepts ``a``; an accepted solution
     is checked by :func:`_check_accepted_solution`."""
     try:
-        x = solve_linear_system(a, b)
+        x = guarded_solve(a, b)
     except SingularSystemError:
         return False
     _check_accepted_solution(a, b, x)
@@ -342,11 +356,11 @@ def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", spying_solve)
     try:
-        assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
+        assert np.allclose(guarded_solve([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
         assert seen == [("solve", 1)]
         assert get() == before
         with pytest.raises(SingularSystemError):
-            solve_linear_system([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 1.0])
+            guarded_solve([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 1.0])
         assert get() == before
     finally:
         set_(original)
@@ -368,7 +382,32 @@ def test_overlapping_one_thread_blocks_restore_the_count_when_the_last_leaves(mo
 
 def test_solve_without_a_bundled_openblas(monkeypatch):
     monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
-    assert np.allclose(solve_linear_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
+    assert np.allclose(guarded_solve([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), [1.0, 1.0])
+
+
+_RANDOM_RAY_SOLVES = """
+import sys
+from matchbreak.linalg import sphere_center
+from matchbreak.rng import make_rng, random_unit_vectors
+for seed in range(5):
+    rng = make_rng(seed, "random-rays")
+    center = rng.standard_normal(128)
+    sys.stdout.buffer.write(sphere_center(center + random_unit_vectors(rng, 128, 129)).tobytes())
+"""
+
+
+def test_solution_bits_do_not_depend_on_the_blas_thread_count():
+    """What the one-thread pin pays for: without it, these d=128 LU solves
+    give other bits under two OpenBLAS threads than under one."""
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _RANDOM_RAY_SOLVES], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 5 * 128 * 8
+    assert outputs[0] == outputs[1]
 
 
 @st.composite

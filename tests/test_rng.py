@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from matchbreak.rng import as_generator, make_rng, random_unit_vector, random_unit_vectors, simplex_directions
+from matchbreak.rng import (
+    as_generator,
+    make_rng,
+    orthonormal_directions,
+    random_unit_vector,
+    random_unit_vectors,
+    simplex_directions,
+)
 
 
 def test_same_seed_same_stream():
@@ -138,3 +145,19 @@ def test_simplex_directions_are_a_turned_regular_simplex(dim):
 def test_simplex_directions_bad_dim():
     with pytest.raises(ValueError, match="dim"):
         simplex_directions(make_rng(0), 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 32, 512])
+def test_orthonormal_directions_are_a_turned_basis(dim):
+    """Orthonormal rows, ``P P^T = I``, turned by the stream: two draws
+    differ, one seed repeats, and the draw takes ``2 * dim`` normals."""
+    rng = make_rng(3)
+    p = orthonormal_directions(rng, dim)
+    assert p.shape == (dim, dim)
+    assert np.allclose(p @ p.T, np.eye(dim), rtol=0, atol=1e-12)
+    assert np.array_equal(p, orthonormal_directions(make_rng(3), dim))
+    after = make_rng(3)
+    after.standard_normal((2, dim))
+    assert np.array_equal(rng.standard_normal(3), after.standard_normal(3))
+    if dim > 1:
+        assert not np.allclose(p, orthonormal_directions(make_rng(4), dim))
