@@ -296,27 +296,21 @@ class AcceptAverageAttack(Attack):
         return probes[accepted].mean(axis=0), False, {"accepted_indices": accepted.tolist()}
 
 
-def find_seed_match(
-    oracle,
-    claim: str,
-    breaking_set: BreakingSet,
-    *,
-    max_attempts: int | None = None,
-) -> tuple[np.ndarray, int]:
+def find_seed_match(oracle, claim: str, breaking_set: BreakingSet) -> tuple[np.ndarray, int]:
     """Probe breaking-set rows in order until one is accepted.
 
     Returns a read-only copy of the accepted row and the number of queries
     spent (the accepted probe included). Raises :class:`NoFalseMatchError`
-    when the budget or the set runs out first.
+    when the set runs out first, so the set's length is the search's budget
+    (a k-row set holds the first k rows of a longer one with the same seed).
     """
     _require(oracle, OracleMode.BINARY, None, "find_seed_match")
-    rows = breaking_set.values[:max_attempts]
-    for i, row in enumerate(rows):
+    for i, row in enumerate(breaking_set.values):
         if oracle.authenticate_binary(claim, row):
             seed = as_vector(row, name="seed").copy()
             seed.setflags(write=False)
             return seed, i + 1
-    raise NoFalseMatchError(f"no false match found in {len(rows)} attempts")
+    raise NoFalseMatchError(f"no false match found in {len(breaking_set.values)} attempts")
 
 
 def boundary_point(
@@ -464,7 +458,6 @@ class BoundarySearchAttack(Attack):
     dim: int
     threshold_estimate: float
     precision: int = 20
-    max_seed_attempts: int | None = None
     directions: str = "simplex"
 
     name: ClassVar[str] = "binary-ours"
@@ -475,17 +468,13 @@ class BoundarySearchAttack(Attack):
         check_count(self.dim, "dim", minimum=1)
         check_positive(self.threshold_estimate, "threshold_estimate")
         check_count(self.precision, "precision", minimum=1)
-        if self.max_seed_attempts is not None:
-            check_count(self.max_seed_attempts, "max_seed_attempts", minimum=1)
         if self.directions not in DIRECTION_DESIGNS:
             raise ValueError(f"directions must be one of {', '.join(DIRECTION_DESIGNS)}, got {self.directions!r}")
 
     def _run(self, oracle, claim, rng, breaking_set):
         if breaking_set is None:
             raise ValueError(f"{self.name} requires a breaking set")
-        seed, seed_attempts = find_seed_match(
-            oracle, claim, breaking_set, max_attempts=self.max_seed_attempts
-        )
+        seed, seed_attempts = find_seed_match(oracle, claim, breaking_set)
         d = self.dim
         radius = float(np.sqrt(self.threshold_estimate))
         simplex = simplex_directions(rng, d) if self.directions == "simplex" else None

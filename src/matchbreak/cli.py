@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=None, help="bisection steps per boundary point")
     p.add_argument("--threshold-estimate", type=float, default=None,
                    help="attacker-side threshold guess (default: the calibrated value)")
-    p.add_argument("--max-seed-attempts", type=int, default=None)
     p.add_argument("--directions", choices=DIRECTION_DESIGNS, default=None,
                    help="binary-ours ray design (default: simplex; random is the paper's)")
     p.set_defaults(func=cmd_attack)

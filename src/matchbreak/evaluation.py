@@ -125,6 +125,9 @@ class ExperimentRow:
     passed: bool
     error: str | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "metric", Metric(self.metric))
+
 
 @dataclass(frozen=True)
 class AggregateStats:
@@ -147,6 +150,9 @@ class ConvergenceCurve:
     identity: str
     fmr: float
     points: tuple[tuple[int, int, float], ...]  # (queries, accepted, loss)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
 
 
 @dataclass(frozen=True)
@@ -325,26 +331,13 @@ def load_report(path) -> ExperimentReport:
         raise ValueError(f"unsupported report format {doc.get('format')!r}")
     try:
         config = ExperimentConfig(**doc["config"])
-        rows = tuple(
-            ExperimentRow(
-                identity=r["identity"], attack=r["attack"], metric=Metric(r["metric"]),
-                fmr=r["fmr"], loss=r["loss"], queries=r["queries"], time_s=r["time_s"],
-                passed=r["passed"], error=r.get("error"),
-            )
-            for r in doc["rows"]
-        )
-        curves = tuple(
-            ConvergenceCurve(
-                identity=c["identity"], fmr=c["fmr"],
-                points=tuple(tuple(p) for p in c["points"]),
-            )
-            for c in doc.get("baseline_curves", ())
-        )
-        stored = tuple(
-            AggregateStats(**agg) for agg in doc["aggregates"]
-        )
+        rows = tuple(ExperimentRow(**r) for r in doc["rows"])
+        curves = tuple(ConvergenceCurve(**c) for c in doc.get("baseline_curves", ()))
+        stored = tuple(AggregateStats(**agg) for agg in doc["aggregates"])
     except KeyError as exc:
         raise ValueError(f"report {path} is missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:  # a missing or unknown field of a row, curve or aggregate
+        raise ValueError(f"report {path}: {exc}") from exc
     recomputed = compute_aggregates(rows)
     if _aggregates_differ(stored, recomputed):
         raise ValueError("aggregates in the report do not match its rows")

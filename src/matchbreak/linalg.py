@@ -203,9 +203,7 @@ def _openblas_threads():
     return None
 
 
-_blas_lock = threading.Lock()
-_blas_holders = 0
-_blas_threads_before = 0
+_blas_lock = threading.RLock()
 
 
 @contextlib.contextmanager
@@ -223,28 +221,23 @@ def _one_blas_thread():
     worker also spins for a while after every call, so with a solve every
     80 ms it never rests and a recovery loop burns 1.6 CPUs instead of 1.
 
-    The count is process-wide: the first block in sets it and the last one
-    out restores it, so blocks in several threads may overlap. Without a
-    bundled OpenBLAS the block runs as numpy has it.
+    The count is process-wide, so the block holds a lock: a block in another
+    thread waits until this one has restored the count, and one nested in
+    the same thread re-enters it. Without a bundled OpenBLAS the block runs
+    as numpy has it.
     """
-    global _blas_holders, _blas_threads_before
     calls = _openblas_threads()
     if calls is None:
         yield
         return
     get, set_ = calls
     with _blas_lock:
-        if _blas_holders == 0:
-            _blas_threads_before = get()
-            set_(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                set_(_blas_threads_before)
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
 
 
 def sphere_center(points, sq_distances=None, *, rays=None) -> np.ndarray:

@@ -207,7 +207,8 @@ class MatchingOracle:
     identity, then reflects the interleaved total.
     Queries that fail validation (unknown identity, wrong dimension) are not
     served and therefore not counted. With a ``query_limit``, each identity
-    is locked out once it has been queried that many times.
+    is locked out once it has been queried that many times, for the life
+    of the oracle.
 
     The ``*_many`` methods take an ``(n, d)`` batch of probes in one locked
     call and answer, count and add noise to each row exactly as ``n``
@@ -252,10 +253,6 @@ class MatchingOracle:
     def ledger_snapshot(self) -> tuple[int, dict[str, int]]:
         with self._lock:
             return sum(self._ledger.values()), dict(self._ledger)
-
-    def reset_ledger(self) -> None:
-        with self._lock:
-            self._ledger.clear()
 
     @property
     def enrolled_identities(self) -> tuple[str, ...]:

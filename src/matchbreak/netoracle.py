@@ -29,6 +29,7 @@ wire.
 from __future__ import annotations
 
 import json
+import numbers
 import socket
 import socketserver
 import threading
@@ -46,9 +47,9 @@ from .errors import (
     WireProtocolError,
 )
 from .matcher import MatchingOracle, Metric, OracleMode
-from .rng import make_rng
+from .rng import check_seed, make_rng
 from .synth import build_scenario, load_model
-from .validation import as_matrix, as_vector
+from .validation import as_matrix, as_vector, check_count
 
 # Longest request line the server reads, newline included. A one-row d=512
 # ``auth_many`` line is about 12 KB; the cap keeps one client from making
@@ -127,14 +128,16 @@ class OracleServer:
         return self
 
     def serve_forever(self) -> None:
+        """Serve in this thread until interrupted, then call :meth:`shutdown`."""
         self._tcp.serve_forever()
 
     def shutdown(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
+        """Stop the loop :meth:`start` began, if any, and close the socket."""
         if self._thread is not None:
+            self._tcp.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._tcp.server_close()
 
     def __enter__(self) -> "OracleServer":
         return self.start()
@@ -193,7 +196,8 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
     ``mode``, and either ``threshold`` or ``fmr`` (+ optional
     ``calibration_pairs``, ``calibration_seed``); optional ``noise_sigma``,
     ``noise_seed``, ``query_limit``, ``unit_norm``, ``identities`` (default:
-    enroll all), ``host``, ``port``. Any other key is an error.
+    enroll all), ``host``, ``port``. Any other key, or a number of the
+    wrong kind, is an error raised before the model is loaded.
     """
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
@@ -203,6 +207,19 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
     unit_norm = doc.get("unit_norm", True)
     if not isinstance(unit_norm, bool):
         raise ValueError(f"server config 'unit_norm' must be true or false, got {unit_norm!r}")
+    for key, value in doc.items():
+        try:
+            if key in ("calibration_pairs", "query_limit") and value is not None:
+                check_count(value, key)
+            elif key in ("calibration_seed", "noise_seed"):
+                check_seed(value)
+            elif key == "port" and check_count(value, key, minimum=0) > 65535:
+                raise ValueError(f"must be in [0, 65535], got {value}")
+            elif key in ("threshold", "fmr", "noise_sigma") and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"must be a number, got {value!r}")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"server config {key!r}: {exc}") from exc
     base = Path(base_dir) if base_dir is not None else Path(".")
     model = load_model(base / doc["model"])
     identities = doc.get("identities")
@@ -213,14 +230,14 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
         range(model.num_identities) if identities is None else identities,
         threshold=doc.get("threshold"),
         fmr=doc.get("fmr"),
-        calibration_pairs=int(doc.get("calibration_pairs", 100000)),
-        calibration_seed=make_rng(int(doc.get("calibration_seed", 0)), "serve-calibration"),
+        calibration_pairs=doc.get("calibration_pairs", 100000),
+        calibration_seed=make_rng(doc.get("calibration_seed", 0), "serve-calibration"),
         noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        noise_seed=int(doc.get("noise_seed", 0)),
+        noise_seed=doc.get("noise_seed", 0),
         query_limit=doc.get("query_limit"),
         unit_norm=unit_norm,
     )
-    bind = (doc.get("host", "127.0.0.1"), int(doc.get("port", 0)))
+    bind = (doc.get("host", "127.0.0.1"), doc.get("port", 0))
     return OracleServer(oracle, bind)
 
 

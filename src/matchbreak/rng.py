@@ -97,6 +97,10 @@ def simplex_directions(rng: np.random.Generator, dim: int) -> np.ndarray:
     its own: the turned rows are ``S H1 H2 = S - 2 (S v1) v1^T - 2 (S H1 v2)
     v2^T``, with ``S H1 v2 = S v2 - 2 (v1 . v2) S v1``, and ``S`` is added
     to the rank-two term in place.
+
+    Two reflections move only a 2-plane, so every draw stays near one fixed
+    simplex (seeds 1 and 2: median row cosine 0.950 at d=128, 0.987 at
+    d=512), and an oracle that screens probes sees it from every attacker.
     """
     v = random_unit_vectors(rng, dim, 2)
     a = math.sqrt((dim + 1) / dim)
@@ -120,6 +124,9 @@ def orthonormal_directions(rng: np.random.Generator, dim: int) -> np.ndarray:
     directions drawn from ``rng`` (``2 * dim`` normals, O(dim^2)), as
     :func:`simplex_directions` turns its simplex. The rows are ``H1 H2 = I
     - 2 v1 v1^T - 2 (H1 v2) v2^T``, with ``H1 v2 = v2 - 2 (v1 . v2) v1``.
+
+    Two reflections move only a 2-plane, so the rows stay near the standard
+    basis (seed 1: median ``|P_ii|`` 0.980 at d=128, 0.995 at d=512).
     """
     v = random_unit_vectors(rng, dim, 2)
     along = v.T.copy()  # v1, H1 v2

@@ -144,10 +144,10 @@ class TestFindSeedMatch:
     def test_budget_exhaustion(self, setup16):
         model, _ = setup16
         truth = enrollment_template(model, 4)
-        bs = gen_breaking_set(model, 4, 100, seed=11)
+        bs = gen_breaking_set(model, 4, 25, seed=11)
         oracle = binary_oracle(truth.values, 1e-6)
         with pytest.raises(NoFalseMatchError, match="in 25 attempts"):
-            find_seed_match(oracle, "t", bs, max_attempts=25)
+            find_seed_match(oracle, "t", bs)
         assert oracle.queries == 25
 
     def test_expected_attempts_near_inverse_fmr(self):
@@ -292,11 +292,27 @@ class TestBoundarySearchAttack:
     def test_seed_budget_exhaustion_propagates(self, setup16):
         model, _ = setup16
         truth = enrollment_template(model, 8)
-        bs = gen_breaking_set(model, 8, 50, seed=15)
+        bs = gen_breaking_set(model, 8, 20, seed=15)
         oracle = binary_oracle(truth.values, 1e-6)
-        attack = BoundarySearchAttack(dim=16, threshold_estimate=1.0, max_seed_attempts=20)
+        attack = BoundarySearchAttack(dim=16, threshold_estimate=1.0)
         with pytest.raises(NoFalseMatchError):
             attack.reconstruct(oracle, "t", seed=0, breaking_set=bs)
+
+    def test_a_set_without_an_accepted_row_costs_its_length(self, setup16):
+        """The breaking set is the seed search's budget: on a k-row set that
+        holds no accepted row, the attack fails after exactly k queries."""
+        model, threshold = setup16
+        truth = enrollment_template(model, 6)
+        full = gen_breaking_set(model, 6, 400, seed=13)
+        oracle = binary_oracle(truth.values, threshold.value)
+        accepted = np.flatnonzero(oracle.authenticate_binary_many("t", full.values))
+        assert 1 < accepted[0]
+        k = int(accepted[0])
+        attack = BoundarySearchAttack(dim=16, threshold_estimate=threshold.value)
+        oracle = binary_oracle(truth.values, threshold.value)
+        with pytest.raises(NoFalseMatchError, match=f"in {k} attempts") as info:
+            attack.reconstruct(oracle, "t", seed=0, breaking_set=gen_breaking_set(model, 6, k, seed=13))
+        assert info.value.queries_used == oracle.queries == k
 
     def test_failures_carry_the_queries_used(self, setup16):
         """A failed run reports the queries it got answered: the seed
@@ -305,13 +321,12 @@ class TestBoundarySearchAttack:
         model, threshold = setup16
         truth = enrollment_template(model, 5)
         bs = gen_breaking_set(model, 5, 400, seed=12)
-        attack = BoundarySearchAttack(dim=16, threshold_estimate=threshold.value, precision=20,
-                                      max_seed_attempts=1)
+        attack = BoundarySearchAttack(dim=16, threshold_estimate=threshold.value, precision=20)
         with pytest.raises(NoFalseMatchError) as info:
-            attack.reconstruct(binary_oracle(truth.values, 1e-6), "t", seed=6, breaking_set=bs)
+            attack.reconstruct(binary_oracle(truth.values, 1e-6), "t", seed=6,
+                               breaking_set=gen_breaking_set(model, 5, 1, seed=12))
         assert info.value.queries_used == 1
 
-        attack = BoundarySearchAttack(dim=16, threshold_estimate=threshold.value, precision=20)
         seed_attempts = attack.reconstruct(binary_oracle(truth.values, threshold.value), "t",
                                            seed=6, breaking_set=bs).params["seed_attempts"]
         limit = seed_attempts + 3 * 17 + 5

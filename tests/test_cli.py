@@ -1,6 +1,8 @@
 import json
 import re
 import shutil
+import signal
+import socket
 import subprocess
 import sys
 
@@ -146,7 +148,7 @@ class TestAttack:
             host, port = server.address
             code = run_cli("attack", "--name", "binary-ours", "--model", model_dir,
                            "--target", 0, "--out", out, "--fmr", 0.05, "--pairs", 20000,
-                           "--remote", f"{host}:{port}", "--max-seed-attempts", 1)
+                           "--remote", f"{host}:{port}", "--breaking-set-size", 1)
             assert server.oracle.queries == 26
         assert code == 1
         doc = json.loads((out / "result.json").read_text())
@@ -320,3 +322,28 @@ class TestServe:
         finally:
             proc.terminate()
             proc.communicate(timeout=10)
+
+    def test_interrupt_stops_the_server_and_frees_its_port(self, model_dir, tmp_path):
+        """Ctrl-C ends ``serve_forever``; the shutdown after it closes the
+        socket and the command exits 0."""
+        config = tmp_path / "serve.json"
+        config.write_text(json.dumps({"model": str(model_dir), "mode": "score"}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "matchbreak.cli", "serve", "--config", str(config)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            match = re.search(r"on ([\d.]+):(\d+)", proc.stdout.readline())
+            address = (match.group(1), int(match.group(2)))
+            with RemoteOracle(address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
+                remote.authenticate_score("4", np.zeros(16))  # the loop is serving
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "shutting down" in err
+        with socket.socket() as sock:
+            sock.bind(address)

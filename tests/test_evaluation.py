@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -237,6 +238,28 @@ class TestReportFiles:
         doc["aggregates"][0]["mean_queries"] += 1.0
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="aggregates"):
+            load_report(path)
+
+    @pytest.mark.parametrize(("section", "key"), [
+        ("rows", "queries"), ("rows", "metric"), ("baseline_curves", "points"), ("aggregates", "rows"),
+    ])
+    def test_missing_field_names_the_report_and_the_key(self, report, tmp_path, section, key):
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        doc = json.loads(path.read_text())
+        del doc[section][0][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"report {re.escape(str(path))}.*'{key}'"):
+            load_report(path)
+
+    @pytest.mark.parametrize("section", ["rows", "baseline_curves", "aggregates"])
+    def test_unknown_field_is_refused(self, report, tmp_path, section):
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        doc = json.loads(path.read_text())
+        doc[section][0]["comment"] = "added by hand"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"report {re.escape(str(path))}.*'comment'"):
             load_report(path)
 
     def test_convergence_csv(self, report, tmp_path):

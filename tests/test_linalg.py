@@ -8,6 +8,7 @@ random well-conditioned systems.
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -366,18 +367,43 @@ def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
         set_(original)
 
 
-def test_overlapping_one_thread_blocks_restore_the_count_when_the_last_leaves(monkeypatch):
+def test_one_thread_blocks_nest_in_a_thread_and_queue_across_threads(monkeypatch):
+    """A block nested in the same thread re-enters the lock and restores the
+    outer block's count; a block in another thread waits until the first
+    has restored the process-wide count, then sets and restores it itself."""
     threads = [4]
-    monkeypatch.setattr(linalg, "_openblas_threads",
-                        lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
-    first, second = linalg._one_blas_thread(), linalg._one_blas_thread()
-    first.__enter__()
-    assert threads == [1]
-    second.__enter__()
-    first.__exit__(None, None, None)
-    assert threads == [1]
-    second.__exit__(None, None, None)
+    log = []
+
+    def set_(n):
+        threads[0] = n
+        log.append(n)
+
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (lambda: threads[0], set_))
+    entered = threading.Event()
+    seen = []
+
+    def other():
+        with linalg._one_blas_thread():
+            entered.set()
+
+    def outer():
+        with linalg._one_blas_thread():
+            with linalg._one_blas_thread():
+                seen.append(threads[0])
+            seen.append(threads[0])
+            worker.start()
+            seen.append(entered.wait(0.2))
+
+    worker = threading.Thread(target=other, daemon=True)
+    first = threading.Thread(target=outer, daemon=True)
+    first.start()
+    first.join(timeout=5.0)
+    assert not first.is_alive(), "the nested block deadlocked"
+    worker.join(timeout=5.0)
+    assert seen == [1, 1, False]
+    assert entered.is_set() and not worker.is_alive()
     assert threads == [4]
+    assert log == [1, 1, 1, 4, 1, 4]
 
 
 def test_solve_without_a_bundled_openblas(monkeypatch):

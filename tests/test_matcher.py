@@ -280,15 +280,6 @@ class TestOracle:
             oracle.authenticate_score("a", [1.0, 0.0])
         assert oracle.ledger_snapshot() == (3, {"a": 2, "b": 1})
 
-    def test_reset_ledger_unlocks(self):
-        oracle = make_oracle(query_limit=1)
-        oracle.enroll("a", [1.0, 0.0])
-        oracle.authenticate_score("a", [1.0, 0.0])
-        with pytest.raises(LockedOutError):
-            oracle.authenticate_score("a", [1.0, 0.0])
-        oracle.reset_ledger()
-        assert oracle.authenticate_score("a", [1.0, 0.0]) == 0.0
-
     def test_duplicate_enrollment_rejected(self):
         oracle = make_oracle()
         oracle.enroll("a", [1.0, 0.0])

@@ -20,6 +20,7 @@ from matchbreak.matcher import (
     Threshold,
     calibrate_threshold,
 )
+from matchbreak import netoracle
 from matchbreak.netoracle import (
     MAX_REQUEST_BYTES,
     OracleServer,
@@ -275,6 +276,19 @@ class TestConcurrency:
         assert local.queries_for("1") == 4 * per_client
 
 
+class TestShutdown:
+    def test_an_unstarted_server_shuts_down_at_once_and_frees_its_port(self):
+        """No serving loop ever ran, so there is none to wait for."""
+        server = OracleServer(make_local(OracleMode.SCORE))
+        address = server.address
+        closing = threading.Thread(target=server.shutdown, daemon=True)
+        closing.start()
+        closing.join(timeout=1.0)
+        assert not closing.is_alive()
+        with socket.socket() as sock:
+            sock.bind(address)
+
+
 class TestAddresses:
     def test_tuple_string_and_url_forms(self):
         """A ``(host, port)`` tuple and a ``"host:port"`` string are the two
@@ -340,6 +354,26 @@ class TestServerFromConfig:
         doc = {"model": "model", "mode": "score", "query_limt": 5, "open_enrollment": True}
         with pytest.raises(ValueError, match="unknown server config keys: open_enrollment, query_limt"):
             server_from_config(doc, base_dir=model_dir)
+
+    @pytest.mark.parametrize(("key", "value"), [
+        ("calibration_pairs", 2000.7),
+        ("calibration_pairs", True),
+        ("noise_seed", 3.9),
+        ("port", 0.5),
+        ("port", 65536),
+        ("calibration_seed", True),
+        ("threshold", "1.0"),
+        ("fmr", True),
+        ("noise_sigma", "0.1"),
+    ])
+    def test_numbers_of_the_wrong_kind_are_refused_before_the_model_loads(self, monkeypatch, key, value):
+        def no_load(path):
+            raise AssertionError("the model was loaded")
+
+        monkeypatch.setattr(netoracle, "load_model", no_load)
+        doc = {"model": "model", "mode": "binary", "fmr": 0.05, key: value}
+        with pytest.raises(ValueError, match=f"server config '{key}'"):
+            server_from_config(doc)
 
     @pytest.mark.parametrize("unit_norm", ["false", 0, None])
     def test_non_bool_unit_norm_is_refused(self, model_dir, unit_norm):
@@ -448,6 +482,7 @@ class TestBatches:
         with pytest.raises(LockedOutError) as local_info:
             local.authenticate_score_many("0", probes)
         assert local_info.value.served == 3
+        _, fresh = twin_oracles(Metric.SED, OracleMode.SCORE, enrolled, query_limit=3)
         with OracleServer(served) as server:
             with socket.create_connection(server.address) as sock:
                 f = sock.makefile("rwb")
@@ -461,12 +496,12 @@ class TestBatches:
                     doc = json.loads(f.readline())
                     assert doc.get("served") == count
                     assert (doc.get("error") == "LOCKED") == (count is not None)
-            served.reset_ledger()
+        with OracleServer(fresh) as server:
             with RemoteOracle(server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
                 with pytest.raises(LockedOutError) as remote_info:
                     remote.authenticate_score_many("0", probes)
                 assert remote_info.value.served == remote.sent_queries == 3
-        assert served.ledger_snapshot() == local.ledger_snapshot() == (3, {"0": 3})
+        assert served.ledger_snapshot() == fresh.ledger_snapshot() == local.ledger_snapshot() == (3, {"0": 3})
 
     def test_bad_batches(self):
         with OracleServer(make_local(OracleMode.SCORE)) as server:

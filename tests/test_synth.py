@@ -143,6 +143,16 @@ class TestBreakingSet:
         assert np.array_equal(a.values, b.values)
         assert a.unit == b.unit
 
+    @pytest.mark.parametrize("unit_norm", [True, False])
+    @pytest.mark.parametrize("k", [1, 7, 19, 33])
+    def test_a_shorter_set_is_a_prefix_of_a_longer_one(self, model, unit_norm, k):
+        """What lets a set's length stand for the seed search's budget: a
+        k-row set is the first k rows of the 50-row set of the same seed."""
+        full = gen_breaking_set(model, 4, 50, unit_norm=unit_norm, seed=21)
+        short = gen_breaking_set(model, 4, k, unit_norm=unit_norm, seed=21)
+        assert np.array_equal(short.values, full.values[:k])
+        assert np.array_equal(short.labels, full.labels[:k])
+
     def test_arrays_are_read_only(self, model):
         bs = gen_breaking_set(model, 1, 10, seed=33)
         with pytest.raises(ValueError, match="read-only"):
