@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -330,10 +330,15 @@ def load_report(path) -> ExperimentReport:
     if doc.get("format") != _REPORT_FORMAT:
         raise ValueError(f"unsupported report format {doc.get('format')!r}")
     try:
-        config = ExperimentConfig(**doc["config"])
-        rows = tuple(ExperimentRow(**r) for r in doc["rows"])
+        config_doc, row_docs, agg_docs = doc["config"], doc["rows"], doc["aggregates"]
+        # A report records every field; only a config written by hand may rely on defaults.
+        missing = [f.name for f in fields(ExperimentConfig) if f.name not in config_doc]
+        if missing:
+            raise KeyError(missing[0])
+        config = ExperimentConfig(**config_doc)
+        rows = tuple(ExperimentRow(**r) for r in row_docs)
         curves = tuple(ConvergenceCurve(**c) for c in doc.get("baseline_curves", ()))
-        stored = tuple(AggregateStats(**agg) for agg in doc["aggregates"])
+        stored = tuple(AggregateStats(**agg) for agg in agg_docs)
     except KeyError as exc:
         raise ValueError(f"report {path} is missing key {exc.args[0]!r}") from exc
     except TypeError as exc:  # a missing or unknown field of a row, curve or aggregate

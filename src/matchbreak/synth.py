@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import json
 import mmap
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +34,8 @@ from .validation import check_count, check_nonnegative
 
 _MODEL_FORMAT = "matchbreak-model-v1"
 _BLOCK_ELEMENTS = 1 << 16  # values per row block: 512 KB of float64 stays in L2; 4 MB blocks ran slower
+_SLOT_ELEMENTS = _BLOCK_ELEMENTS // 2  # values per ring slot of the pair sampler: two slots make one block
+_HUGE_PAGE = 2 << 20  # bytes; the kernel aligns an anonymous mapping to huge pages only at multiples of this
 _CHUNK_PAIRS = 20000  # pairs per calibration chunk, part of the sampler's specification
 
 
@@ -127,17 +131,22 @@ def _mapped_empty(rows: int, dim: int) -> np.ndarray:
     up to 32 MiB that glibc itself mmapped raises its mmap threshold to that
     size when freed; every later block of that size then comes from the brk
     heap, where it stays resident once freed and is split by small
-    allocations. Without ``MAP_PRIVATE`` (Windows) this is ``np.empty``;
-    without ``MADV_HUGEPAGE`` (macOS) the advice is skipped, and so it is
-    where the kernel refuses it (built without transparent huge pages).
+    allocations. The mapping's length is rounded up to a multiple of
+    ``_HUGE_PAGE``, since the kernel backs a mapping of any other length
+    with small pages: filling a (4000, 128) array took 489 minor faults
+    unrounded and 2 rounded. Without ``MAP_PRIVATE`` (Windows) this is
+    ``np.empty``; without ``MADV_HUGEPAGE`` (macOS) the advice is skipped,
+    and so it is where the kernel refuses it (built without transparent
+    huge pages).
     """
     if not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty((rows, dim))
-    buf = mmap.mmap(-1, rows * dim * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    length = -(-rows * dim * 8 // _HUGE_PAGE) * _HUGE_PAGE
+    buf = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         with contextlib.suppress(OSError):
             buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64).reshape(rows, dim)
+    return np.frombuffer(buf, dtype=np.float64, count=rows * dim).reshape(rows, dim)
 
 
 def _identity_index(model: IdentityModel, identity) -> int:
@@ -266,12 +275,26 @@ def _pair_scores(
     is the einsum of the pair, divided by the product of the norms unless
     the samples are unit-norm.
 
+    Every draw is made on the calling thread, in that order, so the scores
+    and the generator's final state are those of one thread drawing and
+    finishing block after block. ``b`` is drawn block by block into a ring
+    of two slots of about ``_SLOT_ELEMENTS`` values, which continues the
+    stream exactly where one draw of all ``m × d`` normals would. Each
+    block pair is handed, once its ``b`` is drawn, to one worker thread
+    that lives for the call: it turns both blocks into samples, in place,
+    and scores them, while the calling thread draws the next block (numpy
+    releases the GIL in both). A slot is drawn into again only after the
+    worker has finished the block that used it, every task of a chunk is
+    finished before the next chunk draws, and the worker is joined before
+    the call returns; an exception raised on it is raised from the call.
+
     Memory is one ``(_CHUNK_PAIRS, d)`` buffer from :func:`_mapped_empty`,
-    reused by every chunk for ``a`` and unmapped on return, plus a few row
-    blocks of about ``_BLOCK_ELEMENTS`` values: each block of ``a`` is
-    finished in place, and ``b`` is drawn block by block into one block
-    buffer, which continues the generator's stream exactly where one draw
-    of all ``m × d`` normals would.
+    reused by every chunk for ``a`` and unmapped on return, besides the
+    scores and one chunk's identities: the ring, one row block of
+    ``_BLOCK_ELEMENTS`` values, and half a block more while the worker
+    gathers a slot's centers or takes its norms. With 40,000 pairs at d=256
+    this peaks at 2.76 blocks; slots of a whole block each peaked at 4.26,
+    and keeping a whole chunk's futures until its end at 3.23.
     """
     metric = Metric(metric)
     check_count(n_pairs, "n_pairs", minimum=1)
@@ -279,27 +302,43 @@ def _pair_scores(
     n, centers, sigma = model.num_identities, model.centers, model.within_noise_sigma
     out = np.empty(n_pairs, dtype=np.float64)
     a_buf = _mapped_empty(min(_CHUNK_PAIRS, n_pairs), model.dim)
-    block = max(1, _BLOCK_ELEMENTS // model.dim)
-    b_buf = np.empty((min(block, len(a_buf)), model.dim))
-    for done in range(0, n_pairs, _CHUNK_PAIRS):
-        m = min(_CHUNK_PAIRS, n_pairs - done)
-        i = rng.integers(0, n, size=m)
-        j = (i + rng.integers(1, n, size=m)) % n if impostor else i
-        rng.standard_normal(out=a_buf[:m])
-        for lo in range(0, m, block):
-            hi = min(lo + block, m)
-            a, b = a_buf[lo:hi], b_buf[:hi - lo]
-            rng.standard_normal(out=b)
-            na = _to_samples(a, centers, i[lo:hi], sigma, unit_norm)
-            nb = _to_samples(b, centers, j[lo:hi], sigma, unit_norm)
-            if metric is Metric.SED:
-                np.subtract(a, b, out=b)
-                scores = np.einsum("ij,ij->i", b, b)
+    block = max(1, _SLOT_ELEMENTS // model.dim)
+    ring = np.empty((2, min(block, len(a_buf)), model.dim))
+
+    def finish(lo, hi, a, b, i, j):
+        na = _to_samples(a, centers, i, sigma, unit_norm)
+        nb = _to_samples(b, centers, j, sigma, unit_norm)
+        if metric is Metric.SED:
+            np.subtract(a, b, out=b)
+            scores = np.einsum("ij,ij->i", b, b)
+        else:
+            scores = np.einsum("ij,ij->i", a, b)
+            if not unit_norm:
+                scores /= na * nb
+        out[lo:hi] = scores
+
+    with ThreadPoolExecutor(1) as worker:
+        for done in range(0, n_pairs, _CHUNK_PAIRS):
+            m = min(_CHUNK_PAIRS, n_pairs - done)
+            i = rng.integers(0, n, size=m)
+            if impostor:
+                j = rng.integers(1, n, size=m)
+                j += i
+                j %= n
             else:
-                scores = np.einsum("ij,ij->i", a, b)
-                if not unit_norm:
-                    scores /= na * nb
-            out[done + lo:done + hi] = scores
+                j = i
+            rng.standard_normal(out=a_buf[:m])
+            pending = deque()  # tasks in flight, at most one per slot
+            for k, lo in enumerate(range(0, m, block)):
+                hi = min(lo + block, m)
+                if len(pending) == 2:
+                    pending.popleft().result()  # slot k % 2 is free again
+                b = ring[k % 2, :hi - lo]
+                rng.standard_normal(out=b)
+                pending.append(worker.submit(finish, done + lo, done + hi, a_buf[lo:hi], b, i[lo:hi], j[lo:hi]))
+            while pending:
+                pending.popleft().result()
+            del i, j  # freed before the next chunk draws its own
     return out
 
 

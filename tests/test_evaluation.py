@@ -252,6 +252,17 @@ class TestReportFiles:
         with pytest.raises(ValueError, match=f"report {re.escape(str(path))}.*'{key}'"):
             load_report(path)
 
+    def test_config_missing_a_field_is_refused(self, report, tmp_path):
+        """A report's config records every field. Without ``dim`` it would
+        load with the default d=128 and print another fingerprint."""
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        doc = json.loads(path.read_text())
+        del doc["config"]["dim"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"report {re.escape(str(path))}.*'dim'"):
+            load_report(path)
+
     @pytest.mark.parametrize("section", ["rows", "baseline_curves", "aggregates"])
     def test_unknown_field_is_refused(self, report, tmp_path, section):
         path = tmp_path / "report.json"

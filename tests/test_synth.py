@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -238,11 +239,13 @@ class TestPairScores:
     @pytest.mark.parametrize("impostor", [True, False])
     def test_bit_identical_to_reference(self, model, metric, unit_norm, impostor):
         """Same draws in the same order and the same arithmetic as the
-        whole-chunk reference, for counts that end inside the first row
-        block, just past it, and just past the first chunk."""
+        whole-chunk reference, for counts that end inside the first ring
+        slot, just past it, just past one row block, after the ring has
+        wrapped twice, and just past the first chunk."""
         sample = impostor_scores if impostor else genuine_scores
         block = synth._BLOCK_ELEMENTS // model.dim
-        for n_pairs in (1, block + 1, 20001):
+        slot = synth._SLOT_ELEMENTS // model.dim
+        for n_pairs in (1, slot + 1, block + 1, 5 * slot + 3, 20001):
             rng, ref_rng = make_rng(12, n_pairs), make_rng(12, n_pairs)
             scores = sample(model, metric, n_pairs, unit_norm=unit_norm, seed=rng)
             expected = reference_pair_scores(
@@ -275,6 +278,29 @@ class TestPairScores:
             assert asked == [min(20000, n_pairs) * 256 * 8]
             assert peak < 4 * synth._BLOCK_ELEMENTS * 8
 
+    def test_worker_failure_is_raised_from_the_call(self, model, monkeypatch):
+        """An exception raised while the worker finishes the second block
+        reaches the caller, and the worker is joined before the call ends."""
+        to_samples, threads = synth._to_samples, []
+
+        def failing(rows, *args):
+            threads.append(threading.get_ident())
+            if len(threads) == 3:  # the first samples of the second block
+                raise RuntimeError("injected")
+            return to_samples(rows, *args)
+
+        before = threading.active_count()
+        monkeypatch.setattr(synth, "_to_samples", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            impostor_scores(model, Metric.SED, 5000, seed=0)
+        assert threading.get_ident() not in threads
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self, model):
+        before = threading.active_count()
+        calibrate_for_model(model, Metric.SED, 0.01, pairs=3000, seed=0)
+        assert threading.active_count() == before
+
     def test_cosine_range(self, model):
         scores = impostor_scores(model, Metric.COSINE, 1000, seed=9)
         assert np.all(scores >= -1.0 - 1e-12)
@@ -305,6 +331,15 @@ class TestMappedArrays:
             assert np.array_equal(a, b)
         owns_its_data = synth._mapped_empty(3, 2).base is None
         assert owns_its_data is (name == "MAP_PRIVATE")
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="arrays are mapped only with MAP_PRIVATE")
+    def test_mapping_is_whole_huge_pages(self):
+        """A (4000, 128) array is 3.9 MiB; its mapping is 4 MiB, so the
+        kernel can back it with huge pages, and the array sees its values only."""
+        values = synth._mapped_empty(4000, 128)
+        mapping = values.base.base.obj  # reshape of frombuffer of a memoryview
+        assert values.shape == (4000, 128)
+        assert isinstance(mapping, mmap.mmap) and len(mapping) == 4 << 20
 
     def test_resident_memory_follows_live_memory(self):
         """Rebuilding four d=512, 4000-row breaking sets while the old ones
