@@ -238,7 +238,7 @@ class HillClimbAttack(Attack):
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=1)
-        check_positive(self.step_size, "step_size")
+        object.__setattr__(self, "step_size", check_positive(self.step_size, "step_size"))
         check_count(self.budget, "budget", minimum=0)
 
     def _run(self, oracle, claim, rng, breaking_set):
@@ -466,7 +466,7 @@ class BoundarySearchAttack(Attack):
 
     def __post_init__(self):
         check_count(self.dim, "dim", minimum=1)
-        check_positive(self.threshold_estimate, "threshold_estimate")
+        object.__setattr__(self, "threshold_estimate", check_positive(self.threshold_estimate, "threshold_estimate"))
         check_count(self.precision, "precision", minimum=1)
         if self.directions not in DIRECTION_DESIGNS:
             raise ValueError(f"directions must be one of {', '.join(DIRECTION_DESIGNS)}, got {self.directions!r}")

@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fmr", type=float, required=True)
     p.add_argument("--pairs", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unit-norm", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--json", dest="json_out", help="also write the result as JSON")
     p.set_defaults(func=cmd_calibrate)
 
@@ -89,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0, help="oracle score noise sigma")
     p.add_argument("--query-limit", type=int, default=None)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--unit-norm", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--remote", help="host:port of a served oracle (default: in-process)")
     p.add_argument("--breaking-set-size", type=int, default=4000)
     # Attack parameters: each flag's dest is the attack's dataclass field it
@@ -139,9 +137,7 @@ def cmd_gen_model(args) -> int:
 def cmd_calibrate(args) -> int:
     model = load_model(args.model)
     result = calibrate_for_model(
-        model, Metric(args.metric), args.fmr,
-        pairs=args.pairs, unit_norm=args.unit_norm,
-        seed=make_rng(args.seed, "cli-calibration"),
+        model, Metric(args.metric), args.fmr, pairs=args.pairs, seed=make_rng(args.seed, "cli-calibration")
     )
     print(f"threshold={result.threshold.value!r} metric={args.metric} "
           f"achieved_fmr={result.achieved_fmr!r} sample_size={result.sample_size}")
@@ -196,12 +192,11 @@ def cmd_attack(args) -> int:
         noise_sigma=args.noise,
         noise_seed=make_rng(args.seed, "cli-noise"),
         query_limit=args.query_limit,
-        unit_norm=args.unit_norm,
         breaking_set_size=args.breaking_set_size,
         breaking_set_seed=make_rng(args.seed, "cli-breaking-set"),
     )
     threshold = oracle.threshold
-    truth = enrollment_template(model, args.target, unit_norm=args.unit_norm)
+    truth = enrollment_template(model, args.target)
     attack = make_attack(args.name, dim=model.dim, threshold=threshold.value, **_attack_params(args))
 
     out_dir = Path(args.out)

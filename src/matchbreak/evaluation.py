@@ -68,49 +68,52 @@ class ExperimentConfig:
     query_limit: int | None = None
     calibration_pairs: int = 100000
     breaking_set_size: int = 4000
-    unit_norm: bool = True
     model_seed: int = 7
     seed: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "metric", Metric(self.metric))
-        check_count(self.dim, "dim", minimum=2)
-        check_count(self.num_identities, "num_identities", minimum=2)
-        check_nonnegative(self.within_noise_sigma, "within_noise_sigma")
-        check_nonnegative(self.center_concentration, "center_concentration")
-        check_nonnegative(self.oracle_noise_sigma, "oracle_noise_sigma")
-        check_count(self.num_targets, "num_targets", minimum=1)
+        """Check every field and keep the value its check returns, so that
+        one number spelt two ways (``0`` and ``0.0``) makes one fingerprint."""
+        checked = {
+            "metric": Metric(self.metric),
+            "dim": check_count(self.dim, "dim", minimum=2),
+            "num_identities": check_count(self.num_identities, "num_identities", minimum=2),
+            "within_noise_sigma": check_nonnegative(self.within_noise_sigma, "within_noise_sigma"),
+            "center_concentration": check_nonnegative(self.center_concentration, "center_concentration"),
+            "oracle_noise_sigma": check_nonnegative(self.oracle_noise_sigma, "oracle_noise_sigma"),
+            "num_targets": check_count(self.num_targets, "num_targets", minimum=1),
+            "calibration_pairs": check_count(self.calibration_pairs, "calibration_pairs", minimum=1),
+            "breaking_set_size": check_count(self.breaking_set_size, "breaking_set_size", minimum=1),
+            "fmr_targets": tuple(check_probability(f, "fmr target") for f in self.fmr_targets),
+            "query_limit": None if self.query_limit is None else check_count(self.query_limit, "query_limit"),
+            "model_seed": check_seed(self.model_seed),
+            "seed": check_seed(self.seed),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.num_targets > self.num_identities:
             raise ValueError(
                 f"num_targets {self.num_targets} exceeds num_identities {self.num_identities}"
             )
-        check_count(self.calibration_pairs, "calibration_pairs", minimum=1)
-        check_count(self.breaking_set_size, "breaking_set_size", minimum=1)
-        fmrs = tuple(check_probability(f, "fmr target") for f in self.fmr_targets)
-        if not fmrs:
+        if not self.fmr_targets:
             raise ValueError("fmr_targets must not be empty")
-        object.__setattr__(self, "fmr_targets", fmrs)
-        attacks = tuple(dict(a) for a in self.attacks)
-        if not attacks:
-            raise ValueError("attack list must not be empty")
-        for a in attacks:
-            if "name" not in a:
+        attacks = []
+        for a in self.attacks:
+            params = dict(a)
+            if "name" not in params:
                 raise ValueError(f"attack entry without a name: {a!r}")
-            if "dim" in a:
+            if "dim" in params:
                 raise ValueError(f"attack entry {a!r} sets 'dim'; the dimension comes from the config's dim")
             # Build the attack now, so that a bad name or parameter is refused
             # before anything is drawn; 1.0 stands in for the calibrated threshold.
-            params = dict(a)
-            attack = make_attack(params.pop("name"), dim=self.dim, threshold=1.0, **params)
+            name = params.pop("name")
+            attack = make_attack(name, dim=self.dim, threshold=1.0, **params)
             if attack.metric not in (None, self.metric):
                 raise ValueError(f"{attack.name} needs the {attack.metric.value} metric, not {self.metric.value}")
-        object.__setattr__(self, "attacks", attacks)
-        if self.query_limit is not None:
-            check_count(self.query_limit, "query_limit", minimum=1)
-        if not isinstance(self.unit_norm, bool):
-            raise ValueError(f"unit_norm must be true or false, got {self.unit_norm!r}")
-        check_seed(self.model_seed)
-        check_seed(self.seed)
+            attacks.append({"name": name, **{key: getattr(attack, key) for key in params}})
+        if not attacks:
+            raise ValueError("attack list must not be empty")
+        object.__setattr__(self, "attacks", tuple(attacks))
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,6 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> ExperimentRepo
             config.metric,
             fmr,
             pairs=config.calibration_pairs,
-            unit_norm=config.unit_norm,
             seed=make_rng(config.seed, "calibration", fi),
         ).threshold
         for ti in range(config.num_targets):
@@ -243,11 +245,10 @@ def _run_row(config, model, threshold, fi, ti, ai, attack_params):
         noise_sigma=config.oracle_noise_sigma,
         noise_seed=make_rng(config.seed, "noise", fi, ti, ai),
         query_limit=config.query_limit,
-        unit_norm=config.unit_norm,
         breaking_set_size=config.breaking_set_size,
         breaking_set_seed=make_rng(config.seed, "breaking-set", fi, ti, ai),
     )
-    truth = enrollment_template(model, ti, unit_norm=config.unit_norm)
+    truth = enrollment_template(model, ti)
     attack = make_attack(name, dim=config.dim, threshold=threshold.value, **params)
     started = time.perf_counter()
     try:
@@ -330,7 +331,11 @@ def load_report(path) -> ExperimentReport:
     if doc.get("format") != _REPORT_FORMAT:
         raise ValueError(f"unsupported report format {doc.get('format')!r}")
     try:
-        config_doc, row_docs, agg_docs = doc["config"], doc["rows"], doc["aggregates"]
+        config_doc, row_docs, agg_docs = dict(doc["config"]), doc["rows"], doc["aggregates"]
+        # Reports from before every template was unit-norm record the mode.
+        unit_norm = config_doc.pop("unit_norm", True)
+        if unit_norm is not True:
+            raise ValueError(f"report {path} ran with unit_norm {json.dumps(unit_norm)}; only unit-norm runs load")
         # A report records every field; only a config written by hand may rely on defaults.
         missing = [f.name for f in fields(ExperimentConfig) if f.name not in config_doc]
         if missing:

@@ -240,17 +240,14 @@ def _one_blas_thread():
             set_(before)
 
 
-def sphere_center(points, sq_distances=None, *, rays=None) -> np.ndarray:
+def sphere_center(points, *, rays=None) -> np.ndarray:
     """Recover the center of a sphere from ``d + 1`` points on its surface.
 
-    Each point ``q_i`` satisfies ``||q_i - c||^2 == s_i``. Subtracting the last
-    point's equation from the others cancels both ``||c||^2`` and, when all
-    distances are equal, the unknown radius, leaving the d-by-d linear system
+    Each point ``q_i`` satisfies ``||q_i - c||^2 == s`` for one unknown
+    ``s``. Subtracting the last point's equation from the others cancels
+    both ``||c||^2`` and ``s``, leaving the d-by-d linear system
 
-        2 (q_last - q_i) . c  ==  (s_i - s_last) + ||q_last||^2 - ||q_i||^2.
-
-    ``sq_distances`` supplies per-point squared distances; omit it when all
-    points share one (unknown) radius.
+        2 (q_last - q_i) . c  ==  ||q_last||^2 - ||q_i||^2.
 
     ``rays = (start, t, directions)`` says that the points are ``start +
     t[i] * directions[i]`` with every ``t[i] > 0`` and the rows of
@@ -276,8 +273,6 @@ def sphere_center(points, sq_distances=None, *, rays=None) -> np.ndarray:
         raise ValueError("points contain non-finite values")
     a = 2.0 * (pts[-1] - pts[:-1])
     if rays is not None:
-        if sq_distances is not None:
-            raise ValueError("rays describe points at one radius; give no sq_distances with them")
         start, t, directions = rays
         start = as_vector(start, name="ray start", dim=d)
         t = as_vector(t, name="ray lengths", dim=n)
@@ -290,9 +285,6 @@ def sphere_center(points, sq_distances=None, *, rays=None) -> np.ndarray:
 
     sq_norms = np.einsum("ij,ij->i", pts, pts)
     rhs = sq_norms[-1] - sq_norms[:-1]
-    if sq_distances is not None:
-        s = as_vector(sq_distances, name="sq_distances", dim=n)
-        rhs = rhs + (s[:-1] - s[-1])
     # Finite points make finite coefficients unless their squared norms
     # overflow, and then the right-hand side is not finite.
     rhs = as_vector(rhs, name="right-hand side")

@@ -23,7 +23,15 @@ from .errors import (
     UnknownIdentityError,
 )
 from .rng import SeedLike, as_generator
-from .validation import as_matrix, as_vector, check_count, check_nonnegative, check_probability, check_same_dim
+from .validation import (
+    as_matrix,
+    as_vector,
+    check_count,
+    check_nonnegative,
+    check_probability,
+    check_real,
+    check_same_dim,
+)
 
 
 class Metric(str, Enum):
@@ -105,7 +113,7 @@ class Threshold:
     metric: Metric
 
     def __post_init__(self):
-        value = float(self.value)
+        value = check_real(self.value, "threshold")
         metric = Metric(self.metric)
         if not math.isfinite(value):
             raise ValueError(f"threshold must be finite, got {value}")
@@ -318,14 +326,15 @@ class MatchingOracle:
                     return as_matrix(probes, name="probes", dim=enrolled.size)
                 return as_vector(probes, name="probe", dim=enrolled.size)
 
+            try:
+                rows = np.asarray(probes, dtype=np.float64, order="C" if batch else None)
+            except OverflowError:  # an integer beyond float range
+                rows = check()  # raises the validator's ValueError
             if batch:
-                rows = np.asarray(probes, dtype=np.float64, order="C")
                 if rows.ndim != 2 or rows.shape[1] != enrolled.size:
                     rows = check()  # raises, in the validator's order of checks
-            else:
-                rows = np.asarray(probes, dtype=np.float64)
-                if rows.shape != enrolled.shape:
-                    rows = check()
+            elif rows.shape != enrolled.shape:
+                rows = check()
             values = _score_rows(self._config.metric, enrolled, rows, check)
             sigma = self._config.noise_sigma
             if not batch:

@@ -29,7 +29,6 @@ wire.
 from __future__ import annotations
 
 import json
-import numbers
 import socket
 import socketserver
 import threading
@@ -49,7 +48,7 @@ from .errors import (
 from .matcher import MatchingOracle, Metric, OracleMode
 from .rng import check_seed, make_rng
 from .synth import build_scenario, load_model
-from .validation import as_matrix, as_vector, check_count
+from .validation import as_matrix, as_vector, check_count, check_real
 
 # Longest request line the server reads, newline included. A one-row d=512
 # ``auth_many`` line is about 12 KB; the cap keeps one client from making
@@ -185,7 +184,7 @@ class OracleServer:
 
 _CONFIG_KEYS = frozenset({
     "model", "metric", "mode", "threshold", "fmr", "calibration_pairs", "calibration_seed",
-    "noise_sigma", "noise_seed", "query_limit", "unit_norm", "identities", "host", "port",
+    "noise_sigma", "noise_seed", "query_limit", "identities", "host", "port",
 })
 
 
@@ -195,18 +194,15 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
     Keys: ``model`` (directory, relative to ``base_dir``), ``metric``,
     ``mode``, and either ``threshold`` or ``fmr`` (+ optional
     ``calibration_pairs``, ``calibration_seed``); optional ``noise_sigma``,
-    ``noise_seed``, ``query_limit``, ``unit_norm``, ``identities`` (default:
-    enroll all), ``host``, ``port``. Any other key, or a number of the
-    wrong kind, is an error raised before the model is loaded.
+    ``noise_seed``, ``query_limit``, ``identities`` (default: enroll all),
+    ``host``, ``port``. Any other key, or a number of the wrong kind, is an
+    error raised before the model is loaded.
     """
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown server config keys: {', '.join(unknown)}")
     if "model" not in doc:
         raise ValueError("server config needs a 'model' directory")
-    unit_norm = doc.get("unit_norm", True)
-    if not isinstance(unit_norm, bool):
-        raise ValueError(f"server config 'unit_norm' must be true or false, got {unit_norm!r}")
     for key, value in doc.items():
         try:
             if key in ("calibration_pairs", "query_limit") and value is not None:
@@ -215,9 +211,8 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
                 check_seed(value)
             elif key == "port" and check_count(value, key, minimum=0) > 65535:
                 raise ValueError(f"must be in [0, 65535], got {value}")
-            elif key in ("threshold", "fmr", "noise_sigma") and value is not None and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
-                raise ValueError(f"must be a number, got {value!r}")
+            elif key == "noise_sigma" or key in ("threshold", "fmr") and value is not None:
+                check_real(value, key)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"server config {key!r}: {exc}") from exc
     base = Path(base_dir) if base_dir is not None else Path(".")
@@ -232,10 +227,9 @@ def server_from_config(doc: dict, *, base_dir=None) -> OracleServer:
         fmr=doc.get("fmr"),
         calibration_pairs=doc.get("calibration_pairs", 100000),
         calibration_seed=make_rng(doc.get("calibration_seed", 0), "serve-calibration"),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
+        noise_sigma=doc.get("noise_sigma", 0.0),
         noise_seed=doc.get("noise_seed", 0),
         query_limit=doc.get("query_limit"),
-        unit_norm=unit_norm,
     )
     bind = (doc.get("host", "127.0.0.1"), doc.get("port", 0))
     return OracleServer(oracle, bind)

@@ -1,7 +1,7 @@
 """Synthetic identity population in feature space.
 
 Identities are unit-norm center directions. A sample of an identity is its
-center plus isotropic Gaussian within-class noise, optionally re-normalized.
+center plus isotropic Gaussian within-class noise, re-normalized to unit norm.
 A concentration knob pulls all centers toward one common direction, mimicking
 the uneven density of real embedding spaces. Everything is a pure function of
 the model parameters and an explicit seed.
@@ -28,7 +28,7 @@ from .matcher import (
     Threshold,
     calibrate_threshold,
 )
-from .rng import SeedLike, as_generator, make_rng, random_unit_vector
+from .rng import SeedLike, as_generator, check_seed, make_rng, random_unit_vector
 from .templates import UNIT_NORM_TOL, Template
 from .validation import check_count, check_nonnegative
 
@@ -49,10 +49,15 @@ class IdentityModel:
     seed: int
 
     def __post_init__(self):
-        check_count(self.dim, "dim", minimum=2)
-        check_count(self.num_identities, "num_identities", minimum=2)
-        check_nonnegative(self.within_noise_sigma, "within_noise_sigma")
-        check_nonnegative(self.center_concentration, "center_concentration")
+        checked = {
+            "dim": check_count(self.dim, "dim", minimum=2),
+            "num_identities": check_count(self.num_identities, "num_identities", minimum=2),
+            "within_noise_sigma": check_nonnegative(self.within_noise_sigma, "within_noise_sigma"),
+            "center_concentration": check_nonnegative(self.center_concentration, "center_concentration"),
+            "seed": check_seed(self.seed),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         centers = np.array(self.centers, dtype=np.float64)
         if centers.shape != (self.num_identities, self.dim):
             raise ValueError(
@@ -117,9 +122,9 @@ def gen_identity_model(
         dim=dim,
         num_identities=num_identities,
         centers=centers,
-        within_noise_sigma=float(within_noise_sigma),
-        center_concentration=float(center_concentration),
-        seed=int(seed),
+        within_noise_sigma=within_noise_sigma,
+        center_concentration=center_concentration,
+        seed=seed,
     )
 
 
@@ -163,40 +168,37 @@ def _identity_index(model: IdentityModel, identity) -> int:
     return idx
 
 
-def sample_template(model: IdentityModel, identity, *, unit_norm: bool = True, seed: SeedLike) -> Template:
-    """Draw one fresh sample of the given identity."""
+def sample_template(model: IdentityModel, identity, *, seed: SeedLike) -> Template:
+    """Draw one fresh unit-norm sample of the given identity."""
     idx = _identity_index(model, identity)
     rng = as_generator(seed)
     while True:
         values = model.centers[idx] + model.within_noise_sigma * rng.standard_normal(model.dim)
         norm = np.linalg.norm(values)
-        if not unit_norm:
-            return Template(values, unit=False)
         if norm > 0.0:
             return Template(values / norm, unit=True)
 
 
-def enrollment_template(model: IdentityModel, identity, *, unit_norm: bool = True) -> Template:
+def enrollment_template(model: IdentityModel, identity) -> Template:
     """The canonical enrolled sample of an identity.
 
     Deterministic in the model's own seed, so independently built oracles
     (local and remote) enroll byte-identical templates.
     """
     idx = _identity_index(model, identity)
-    return sample_template(model, idx, unit_norm=unit_norm, seed=make_rng(model.seed, "enroll", idx))
+    return sample_template(model, idx, seed=make_rng(model.seed, "enroll", idx))
 
 
 @dataclass(frozen=True, eq=False)
 class BreakingSet:
     """Samples of non-target identities, probed in order by decision attacks.
 
-    Row ``i`` of the read-only ``(n, d)`` array ``values`` is a sample of
-    identity ``labels[i]``; ``unit`` says whether the rows are unit-norm.
+    Row ``i`` of the read-only ``(n, d)`` array ``values`` is a unit-norm
+    sample of identity ``labels[i]``.
     """
 
     labels: np.ndarray
     values: np.ndarray
-    unit: bool
     excluded: int
 
     def __len__(self) -> int:
@@ -205,22 +207,19 @@ class BreakingSet:
     @property
     def templates(self) -> tuple[Template, ...]:
         """The rows as templates, built on each call."""
-        return tuple(Template(row, unit=self.unit) for row in self.values)
+        return tuple(Template(row, unit=True) for row in self.values)
 
 
-def _to_samples(rows: np.ndarray, centers: np.ndarray, labels, sigma: float, unit_norm: bool) -> np.ndarray:
-    """Turn the standard normals in ``rows`` into samples of
-    ``centers[labels]``, in place, and return the samples' norms before any
-    normalisation. The centers are gathered here so that the gathered copy
-    is freed before the norms are taken."""
+def _to_samples(rows: np.ndarray, centers: np.ndarray, labels, sigma: float) -> None:
+    """Turn the standard normals in ``rows`` into unit-norm samples of
+    ``centers[labels]``, in place. The centers are gathered here so that
+    the gathered copy is freed before the norms are taken."""
     rows *= sigma
     rows += centers[labels]
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise RuntimeError("degenerate sample draw")  # probability zero
-    if unit_norm:
-        rows /= norms[:, None]
-    return norms
+    rows /= norms[:, None]
 
 
 def gen_breaking_set(
@@ -228,7 +227,6 @@ def gen_breaking_set(
     exclude_identity,
     size: int,
     *,
-    unit_norm: bool = True,
     seed: SeedLike,
 ) -> BreakingSet:
     """Draw ``size`` samples cycling round-robin over all non-target identities.
@@ -244,10 +242,10 @@ def gen_breaking_set(
 
     values = _mapped_empty(size, model.dim)
     as_generator(seed).standard_normal(out=values)
-    _to_samples(values, model.centers, labels, model.within_noise_sigma, unit_norm)
+    _to_samples(values, model.centers, labels, model.within_noise_sigma)
     labels.setflags(write=False)
     values.setflags(write=False)
-    return BreakingSet(labels=labels, values=values, unit=bool(unit_norm), excluded=idx)
+    return BreakingSet(labels=labels, values=values, excluded=idx)
 
 
 def _pair_scores(
@@ -256,7 +254,6 @@ def _pair_scores(
     n_pairs: int,
     *,
     impostor: bool,
-    unit_norm: bool,
     seed: SeedLike,
 ) -> np.ndarray:
     """Scores of ``n_pairs`` pairs of fresh samples, drawn in chunks.
@@ -270,10 +267,9 @@ def _pair_scores(
     3. all ``m × d`` standard normals of the first samples ``a``;
     4. all ``m × d`` standard normals of the second samples ``b``.
 
-    A sample is ``center + sigma * normals``, divided by its norm when
-    ``unit_norm``. SED is the einsum of the difference with itself; cosine
-    is the einsum of the pair, divided by the product of the norms unless
-    the samples are unit-norm.
+    A sample is ``center + sigma * normals``, divided by its norm. SED is
+    the einsum of the difference with itself; cosine is the einsum of the
+    pair.
 
     Every draw is made on the calling thread, in that order, so the scores
     and the generator's final state are those of one thread drawing and
@@ -306,16 +302,13 @@ def _pair_scores(
     ring = np.empty((2, min(block, len(a_buf)), model.dim))
 
     def finish(lo, hi, a, b, i, j):
-        na = _to_samples(a, centers, i, sigma, unit_norm)
-        nb = _to_samples(b, centers, j, sigma, unit_norm)
+        _to_samples(a, centers, i, sigma)
+        _to_samples(b, centers, j, sigma)
         if metric is Metric.SED:
             np.subtract(a, b, out=b)
-            scores = np.einsum("ij,ij->i", b, b)
+            out[lo:hi] = np.einsum("ij,ij->i", b, b)
         else:
-            scores = np.einsum("ij,ij->i", a, b)
-            if not unit_norm:
-                scores /= na * nb
-        out[lo:hi] = scores
+            out[lo:hi] = np.einsum("ij,ij->i", a, b)
 
     with ThreadPoolExecutor(1) as worker:
         for done in range(0, n_pairs, _CHUNK_PAIRS):
@@ -347,11 +340,10 @@ def impostor_scores(
     metric: Metric,
     n_pairs: int,
     *,
-    unit_norm: bool = True,
     seed: SeedLike,
 ) -> np.ndarray:
     """Scores of fresh sample pairs drawn from two distinct identities."""
-    return _pair_scores(model, metric, n_pairs, impostor=True, unit_norm=unit_norm, seed=seed)
+    return _pair_scores(model, metric, n_pairs, impostor=True, seed=seed)
 
 
 def genuine_scores(
@@ -359,11 +351,10 @@ def genuine_scores(
     metric: Metric,
     n_pairs: int,
     *,
-    unit_norm: bool = True,
     seed: SeedLike,
 ) -> np.ndarray:
     """Scores of two independent fresh samples of one identity."""
-    return _pair_scores(model, metric, n_pairs, impostor=False, unit_norm=unit_norm, seed=seed)
+    return _pair_scores(model, metric, n_pairs, impostor=False, seed=seed)
 
 
 def calibrate_for_model(
@@ -372,11 +363,10 @@ def calibrate_for_model(
     target_fmr: float,
     *,
     pairs: int,
-    unit_norm: bool = True,
     seed,
 ) -> CalibrationResult:
     """Calibrate a threshold on fresh impostor pairs drawn from the model."""
-    scores = impostor_scores(model, metric, pairs, unit_norm=unit_norm, seed=seed)
+    scores = impostor_scores(model, metric, pairs, seed=seed)
     return calibrate_threshold(scores, target_fmr, metric)
 
 
@@ -393,7 +383,6 @@ def build_scenario(
     noise_sigma: float = 0.0,
     noise_seed: SeedLike = 0,
     query_limit: int | None = None,
-    unit_norm: bool = True,
     breaking_set_size: int | None = None,
     breaking_set_seed: SeedLike = 0,
 ) -> tuple[MatchingOracle, BreakingSet | None]:
@@ -407,9 +396,8 @@ def build_scenario(
     attack on the single enrolled identity.
     """
     if threshold is None and fmr is not None:
-        threshold = calibrate_for_model(
-            model, metric, fmr, pairs=calibration_pairs, unit_norm=unit_norm, seed=calibration_seed
-        ).threshold.value
+        calibration = calibrate_for_model(model, metric, fmr, pairs=calibration_pairs, seed=calibration_seed)
+        threshold = calibration.threshold.value
     oracle = MatchingOracle(
         OracleConfig(
             metric=metric,
@@ -422,14 +410,12 @@ def build_scenario(
     )
     identities = [_identity_index(model, i) for i in identities]
     for i in identities:
-        oracle.enroll(str(i), enrollment_template(model, i, unit_norm=unit_norm).values)
+        oracle.enroll(str(i), enrollment_template(model, i).values)
     breaking_set = None
     if breaking_set_size is not None and oracle.mode is OracleMode.BINARY:
         if len(identities) != 1:
             raise ValueError("a breaking set is drawn for exactly one enrolled identity")
-        breaking_set = gen_breaking_set(
-            model, identities[0], breaking_set_size, unit_norm=unit_norm, seed=breaking_set_seed
-        )
+        breaking_set = gen_breaking_set(model, identities[0], breaking_set_size, seed=breaking_set_seed)
     return oracle, breaking_set
 
 
@@ -461,12 +447,12 @@ def load_model(directory) -> IdentityModel:
     centers = np.load(directory / "centers.npy")
     try:
         return IdentityModel(
-            dim=int(manifest["dim"]),
-            num_identities=int(manifest["num_identities"]),
+            dim=manifest["dim"],
+            num_identities=manifest["num_identities"],
             centers=centers,
-            within_noise_sigma=float(manifest["within_noise_sigma"]),
-            center_concentration=float(manifest["center_concentration"]),
-            seed=int(manifest["seed"]),
+            within_noise_sigma=manifest["within_noise_sigma"],
+            center_concentration=manifest["center_concentration"],
+            seed=manifest["seed"],
         )
     except KeyError as exc:
         raise ValueError(f"model manifest {manifest_path} is missing key {exc.args[0]!r}") from exc

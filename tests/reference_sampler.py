@@ -12,7 +12,7 @@ from matchbreak.matcher import Metric
 from matchbreak.rng import as_generator
 
 
-def reference_pair_scores(model, metric, n_pairs, *, impostor, unit_norm, seed, chunk_size=20000):
+def reference_pair_scores(model, metric, n_pairs, *, impostor, seed, chunk_size=20000):
     metric = Metric(metric)
     rng = as_generator(seed)
     n = model.num_identities
@@ -31,27 +31,19 @@ def reference_pair_scores(model, metric, n_pairs, *, impostor, unit_norm, seed, 
         nb = np.linalg.norm(b, axis=1)
         if np.any(na == 0.0) or np.any(nb == 0.0):
             raise RuntimeError("degenerate sample draw")  # probability zero
-        if unit_norm:
-            a = a / na[:, None]
-            b = b / nb[:, None]
-            na = nb = None
+        a = a / na[:, None]
+        b = b / nb[:, None]
         if metric is Metric.SED:
             diff = a - b
             out[done:done + m] = np.einsum("ij,ij->i", diff, diff)
         else:
-            dots = np.einsum("ij,ij->i", a, b)
-            if na is None:
-                out[done:done + m] = dots
-            else:
-                out[done:done + m] = dots / (na * nb)
+            out[done:done + m] = np.einsum("ij,ij->i", a, b)
         done += m
     return out
 
 
-def reference_breaking_values(model, labels, *, unit_norm, seed):
+def reference_breaking_values(model, labels, *, seed):
     """Breaking-set rows as ``gen_breaking_set`` drew them before it worked in place."""
     rng = as_generator(seed)
     values = model.centers[labels] + model.within_noise_sigma * rng.standard_normal((len(labels), model.dim))
-    if unit_norm:
-        values = values / np.linalg.norm(values, axis=1, keepdims=True)
-    return values
+    return values / np.linalg.norm(values, axis=1, keepdims=True)

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,11 +171,17 @@ class TestRunExperiment:
         ({"attacks": ({"name": "binary-ours", "precision": 0},)}, ValueError, "precision"),
         ({"query_limit": 0}, ValueError, "query_limit"),
         ({"query_limit": True}, TypeError, "query_limit"),
-        ({"unit_norm": "false"}, ValueError, "unit_norm"),
+        ({"oracle_noise_sigma": -0.5}, ValueError, "oracle_noise_sigma"),
         ({"seed": -1}, ValueError, "seed"),
         ({"model_seed": 2**64}, ValueError, "seed"),
         ({"model_seed": 1.5}, TypeError, "seed"),
         ({"attacks": ({"name": "binary-ours", "directions": "orthogonal"},)}, ValueError, "directions"),
+        ({"oracle_noise_sigma": False}, TypeError, "oracle_noise_sigma"),
+        ({"oracle_noise_sigma": "0"}, TypeError, "oracle_noise_sigma"),
+        ({"fmr_targets": ("0.01",)}, TypeError, "fmr target"),
+        ({"attacks": ({"name": "hill", "step_size": "0.07"},)}, TypeError, "step_size"),
+        ({"attacks": ({"name": "hill", "step_size": True},)}, TypeError, "step_size"),
+        ({"attacks": ({"name": "binary-ours", "threshold_estimate": "1.5"},)}, TypeError, "threshold_estimate"),
     ])
     def test_bad_field_refused_at_construction(self, overrides, error, match):
         with pytest.raises(error, match=match):
@@ -304,6 +311,37 @@ def test_aggregates_recompute_matches():
     assert compute_aggregates(report.rows) == report.aggregates
 
 
+def test_config_keeps_the_checked_values():
+    """One number spelt two ways makes one config, and so one fingerprint."""
+    spelt = tiny_config(
+        oracle_noise_sigma=0, within_noise_sigma=np.float32(0.5), dim=np.int64(16),
+        fmr_targets=(np.float64(0.02),), seed=np.uint8(11),
+        attacks=({"name": "hill", "step_size": 1, "budget": 10}, {"name": "binary-ours", "threshold_estimate": 2}),
+    )
+    written = tiny_config(
+        oracle_noise_sigma=0.0, within_noise_sigma=0.5, dim=16, fmr_targets=(0.02,), seed=11,
+        attacks=({"name": "hill", "step_size": 1.0, "budget": 10}, {"name": "binary-ours", "threshold_estimate": 2.0}),
+    )
+    assert json.dumps(asdict(spelt), sort_keys=True) == json.dumps(asdict(written), sort_keys=True)
+    assert [type(v) for v in asdict(spelt).values()] == [type(v) for v in asdict(written).values()]
+    assert type(spelt.attacks[0]["step_size"]) is float and type(spelt.attacks[1]["threshold_estimate"]) is float
+
+
+FRONTIER_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "experiments" / "frontier").glob("*.json"))
+
+
+def test_the_frontier_configs_are_there():
+    assert len(FRONTIER_CONFIGS) == 20
+
+
+@pytest.mark.parametrize("path", FRONTIER_CONFIGS, ids=lambda p: p.stem)
+def test_committed_frontier_config_builds(path):
+    """``experiments/frontier.py`` runs each file with ``matchbreak
+    experiment --config``, which builds the config this way; a change to the
+    config's fields must not leave a committed file unloadable."""
+    ExperimentConfig(**json.loads(path.read_text(encoding="utf-8")))
+
+
 def test_config_dict_round_trip():
     config = tiny_config(fmr_targets=(0.01, 0.001), query_limit=5000)
     assert ExperimentConfig(**asdict(config)) == config
@@ -360,7 +398,6 @@ REPORT_JSON = """\
     "oracle_noise_sigma": 0.0,
     "query_limit": null,
     "seed": 3,
-    "unit_norm": true,
     "within_noise_sigma": 0.1
   },
   "format": "matchbreak-report-v1",
@@ -392,9 +429,7 @@ REPORT_JSON = """\
 """
 
 
-def test_report_json_text_is_pinned(tmp_path):
-    """Key names, the metric's value, null losses and repr floats of a
-    hand-built report with one served and one failed row."""
+def pinned_report():
     config = ExperimentConfig(
         dim=4, num_identities=3, num_targets=2, fmr_targets=(0.05,),
         attacks=({"name": "binary-baseline", "budget": 5},),
@@ -407,10 +442,38 @@ def test_report_json_text_is_pinned(tmp_path):
                       loss=None, queries=3, time_s=0.125, passed=False, error="no false match"),
     )
     curve = ConvergenceCurve(identity="0", fmr=0.05, points=((2, 1, 0.1 + 0.2),))
-    report = ExperimentReport(
+    return ExperimentReport(
         config=config, rows=rows, aggregates=compute_aggregates(rows), baseline_curves=(curve,)
     )
+
+
+def test_report_json_text_is_pinned(tmp_path):
+    """Key names, the metric's value, null losses and repr floats of a
+    hand-built report with one served and one failed row."""
+    report = pinned_report()
     path = tmp_path / "report.json"
     write_report_json(report, path)
     assert path.read_text(encoding="utf-8") == REPORT_JSON
     assert load_report(path) == report
+
+
+# The pinned report as it was written while the config had a ``unit_norm`` field.
+UNIT_NORM_REPORT_JSON = REPORT_JSON.replace('"seed": 3,\n', '"seed": 3,\n    "unit_norm": true,\n')
+
+
+def test_a_report_with_unit_norm_true_loads_under_the_new_fingerprint(tmp_path):
+    """Every template is unit-norm now, so the field says nothing and is
+    dropped; the fingerprint is that of the config without it."""
+    assert UNIT_NORM_REPORT_JSON.count('"unit_norm": true') == 1
+    path = tmp_path / "report.json"
+    path.write_text(UNIT_NORM_REPORT_JSON, encoding="utf-8")
+    loaded = load_report(path)
+    assert loaded == pinned_report()
+    assert report_fingerprint(loaded) == report_fingerprint(pinned_report())
+
+
+def test_a_report_of_raw_templates_is_refused(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(UNIT_NORM_REPORT_JSON.replace('"unit_norm": true', '"unit_norm": false'), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"report {re.escape(str(path))} ran with unit_norm false"):
+        load_report(path)

@@ -104,6 +104,12 @@ class TestThreshold:
         with pytest.raises(ValueError):
             Threshold(-1.0, Metric.COSINE)
 
+    @pytest.mark.parametrize("value", ["1.5", True, None])
+    def test_value_must_be_a_number(self, value):
+        """``float()`` would take ``"1.5"`` and ``True``; a threshold does not."""
+        with pytest.raises(TypeError, match="threshold must be a number"):
+            Threshold(value, Metric.SED)
+
 
 class TestCalibration:
     def count_accepts(self, scores, threshold):
@@ -478,6 +484,22 @@ class TestLateFiniteCheck:
         with pytest.raises(ValueError):
             refused.authenticate_score("a", [bad, 0.0, 0.0])
         assert refused.authenticate_score("a", [0.6, -0.8, 0.1]) == fresh.authenticate_score("a", [0.6, -0.8, 0.1])
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_integer_beyond_float_range_refused_and_not_counted(self, metric):
+        """An integer no float can hold (as a JSON number may be) is refused
+        with a ``ValueError``, as the validators refuse it, not an
+        ``OverflowError``."""
+        huge = 10**400
+        for oracle in both_modes(metric):
+            one = oracle.authenticate_score if oracle.mode is OracleMode.SCORE else oracle.authenticate_binary
+            many = (oracle.authenticate_score_many if oracle.mode is OracleMode.SCORE
+                    else oracle.authenticate_binary_many)
+            with pytest.raises(ValueError, match=r"^probe holds an integer beyond float range$"):
+                one("a", [0.0, huge, 1.0])
+            with pytest.raises(ValueError, match=r"^probes holds an integer beyond float range$"):
+                many("a", [[0.6, -0.8, 0.1], [0.0, 1.0, huge]])
+            assert oracle.ledger_snapshot() == (0, {})
 
     def test_sed_overflow_of_a_finite_probe_is_served(self):
         score_oracle, binary_oracle = both_modes(Metric.SED)

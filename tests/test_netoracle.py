@@ -223,6 +223,20 @@ class TestErrorCodes:
                 f.flush()
                 assert json.loads(f.readline())["error"] == "BAD_REQUEST"
 
+    def test_integer_beyond_float_range_keeps_connection_usable(self, score_server):
+        """An integer JSON number that no float can hold is refused like any
+        bad template, counts nothing and leaves the connection open."""
+        line = b'{"op":"auth_many","claim":"0","templates":[[1' + b"0" * 400 + b"," + b"0.0," * (DIM - 1)
+        with socket.create_connection(score_server.address, timeout=10.0) as sock:
+            f = sock.makefile("rwb")
+            f.write(line[:-1] + b"]]}\n")
+            f.flush()
+            doc = json.loads(f.readline())
+            assert doc["error"] == "BAD_REQUEST"
+            assert "beyond float range" in doc["message"]
+            assert ask(f, {"op": "stats"}) == {"queries": 0}
+        assert score_server.oracle.ledger_snapshot() == (0, {})
+
     def test_client_mode_guard_without_round_trip(self, score_server):
         with RemoteOracle(score_server.address, metric=Metric.SED, mode=OracleMode.SCORE) as remote:
             with pytest.raises(OracleModeError):
@@ -365,6 +379,7 @@ class TestServerFromConfig:
         ("threshold", "1.0"),
         ("fmr", True),
         ("noise_sigma", "0.1"),
+        ("noise_sigma", None),
     ])
     def test_numbers_of_the_wrong_kind_are_refused_before_the_model_loads(self, monkeypatch, key, value):
         def no_load(path):
@@ -375,17 +390,13 @@ class TestServerFromConfig:
         with pytest.raises(ValueError, match=f"server config '{key}'"):
             server_from_config(doc)
 
-    @pytest.mark.parametrize("unit_norm", ["false", 0, None])
-    def test_non_bool_unit_norm_is_refused(self, model_dir, unit_norm):
+    @pytest.mark.parametrize("unit_norm", [True, False, "false", 0, None])
+    def test_unit_norm_is_an_unknown_key(self, model_dir, unit_norm):
+        """Every enrolled template is unit-norm, so the key that chose raw
+        ones is gone, and a config that still sets it is refused."""
         doc = {"model": "model", "mode": "score", "unit_norm": unit_norm}
-        with pytest.raises(ValueError, match="unit_norm"):
+        with pytest.raises(ValueError, match="unknown server config keys: unit_norm"):
             server_from_config(doc, base_dir=model_dir)
-
-    def test_unit_norm_false_enrolls_raw_samples(self, model_dir):
-        doc = {"model": "model", "mode": "score", "identities": [1], "unit_norm": False}
-        with server_from_config(doc, base_dir=model_dir) as server:
-            raw = enrollment_template(make_model(), 1, unit_norm=False).values
-            assert server.oracle.authenticate_score("1", raw) == 0.0
 
 
 def recording(server):

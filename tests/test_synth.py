@@ -1,3 +1,4 @@
+import json
 import mmap
 import os
 import subprocess
@@ -74,8 +75,8 @@ def test_model_requires_two_identities():
 
 def test_sample_with_zero_noise_is_the_center():
     m = gen_identity_model(16, 4, within_noise_sigma=0.0, seed=1)
-    t = sample_template(m, 2, unit_norm=False, seed=0)
-    assert np.array_equal(t.values, m.centers[2])
+    t = sample_template(m, 2, seed=0)
+    assert np.allclose(t.values, m.centers[2], rtol=0.0, atol=1e-15)
 
 
 def test_sample_determinism(model):
@@ -86,11 +87,9 @@ def test_sample_determinism(model):
 
 
 def test_sample_unit_norm_flag(model):
-    t = sample_template(model, 0, unit_norm=True, seed=7)
+    t = sample_template(model, 0, seed=7)
     assert t.unit
     assert np.linalg.norm(t.values) == pytest.approx(1.0, abs=1e-12)
-    raw = sample_template(model, 0, unit_norm=False, seed=7)
-    assert not raw.unit
 
 
 def test_samples_cluster_around_their_center(model):
@@ -142,15 +141,13 @@ class TestBreakingSet:
         b = gen_breaking_set(model, 1, 10, seed=33)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.values, b.values)
-        assert a.unit == b.unit
 
-    @pytest.mark.parametrize("unit_norm", [True, False])
     @pytest.mark.parametrize("k", [1, 7, 19, 33])
-    def test_a_shorter_set_is_a_prefix_of_a_longer_one(self, model, unit_norm, k):
+    def test_a_shorter_set_is_a_prefix_of_a_longer_one(self, model, k):
         """What lets a set's length stand for the seed search's budget: a
         k-row set is the first k rows of the 50-row set of the same seed."""
-        full = gen_breaking_set(model, 4, 50, unit_norm=unit_norm, seed=21)
-        short = gen_breaking_set(model, 4, k, unit_norm=unit_norm, seed=21)
+        full = gen_breaking_set(model, 4, 50, seed=21)
+        short = gen_breaking_set(model, 4, k, seed=21)
         assert np.array_equal(short.values, full.values[:k])
         assert np.array_equal(short.labels, full.labels[:k])
 
@@ -162,17 +159,14 @@ class TestBreakingSet:
             bs.labels[0] = 1
 
     def test_templates_are_the_rows(self, model):
-        for unit_norm in (True, False):
-            bs = gen_breaking_set(model, 1, 5, unit_norm=unit_norm, seed=33)
-            assert bs.unit is unit_norm
-            assert [t.unit for t in bs.templates] == [unit_norm] * 5
-            assert np.array_equal(np.stack([t.values for t in bs.templates]), bs.values)
+        bs = gen_breaking_set(model, 1, 5, seed=33)
+        assert [t.unit for t in bs.templates] == [True] * 5
+        assert np.array_equal(np.stack([t.values for t in bs.templates]), bs.values)
 
-    @pytest.mark.parametrize("unit_norm", [True, False])
-    def test_values_equal_the_reference_draw(self, model, unit_norm):
+    def test_values_equal_the_reference_draw(self, model):
         rng, ref_rng = make_rng(4, "bs"), make_rng(4, "bs")
-        bs = gen_breaking_set(model, 2, 300, unit_norm=unit_norm, seed=rng)
-        expected = reference_breaking_values(model, bs.labels, unit_norm=unit_norm, seed=ref_rng)
+        bs = gen_breaking_set(model, 2, 300, seed=rng)
+        expected = reference_breaking_values(model, bs.labels, seed=ref_rng)
         assert np.array_equal(bs.values, expected)
         assert rng.random() == ref_rng.random()
 
@@ -208,7 +202,7 @@ class TestPairScores:
         """With two identities a same-identity 'impostor' pair would score 0
         under zero noise; distinct-identity pairs cannot."""
         m = gen_identity_model(8, 2, within_noise_sigma=0.0, seed=2)
-        scores = impostor_scores(m, Metric.SED, 5000, unit_norm=False, seed=0)
+        scores = impostor_scores(m, Metric.SED, 5000, seed=0)
         assert np.min(scores) > 0.0
 
     def test_genuine_beats_impostor(self, model):
@@ -220,7 +214,7 @@ class TestPairScores:
         assert np.median(gen_c) > np.median(imp_c)
 
     def test_unit_norm_sed_bounded(self, model):
-        scores = impostor_scores(model, Metric.SED, 1000, unit_norm=True, seed=5)
+        scores = impostor_scores(model, Metric.SED, 1000, seed=5)
         assert np.max(scores) <= 4.0 + 1e-12
 
     def test_deterministic_and_chunk_invariant(self, model):
@@ -230,14 +224,13 @@ class TestPairScores:
         # a count past one 20,000-pair chunk draws chunk by chunk like the reference
         crossing = impostor_scores(model, Metric.SED, 20000 + 777, seed=8)
         expected = reference_pair_scores(
-            model, Metric.SED, 20000 + 777, impostor=True, unit_norm=True, seed=make_rng(8)
+            model, Metric.SED, 20000 + 777, impostor=True, seed=make_rng(8)
         )
         assert np.array_equal(crossing, expected)
 
     @pytest.mark.parametrize("metric", [Metric.SED, Metric.COSINE])
-    @pytest.mark.parametrize("unit_norm", [True, False])
     @pytest.mark.parametrize("impostor", [True, False])
-    def test_bit_identical_to_reference(self, model, metric, unit_norm, impostor):
+    def test_bit_identical_to_reference(self, model, metric, impostor):
         """Same draws in the same order and the same arithmetic as the
         whole-chunk reference, for counts that end inside the first ring
         slot, just past it, just past one row block, after the ring has
@@ -247,10 +240,8 @@ class TestPairScores:
         slot = synth._SLOT_ELEMENTS // model.dim
         for n_pairs in (1, slot + 1, block + 1, 5 * slot + 3, 20001):
             rng, ref_rng = make_rng(12, n_pairs), make_rng(12, n_pairs)
-            scores = sample(model, metric, n_pairs, unit_norm=unit_norm, seed=rng)
-            expected = reference_pair_scores(
-                model, metric, n_pairs, impostor=impostor, unit_norm=unit_norm, seed=ref_rng
-            )
+            scores = sample(model, metric, n_pairs, seed=rng)
+            expected = reference_pair_scores(model, metric, n_pairs, impostor=impostor, seed=ref_rng)
             assert np.array_equal(scores, expected), n_pairs
             assert rng.random() == ref_rng.random(), n_pairs
 
@@ -319,7 +310,7 @@ class TestMappedArrays:
             return (
                 gen_breaking_set(model, 1, 300, seed=7).values,
                 impostor_scores(model, Metric.SED, 20001, seed=7),
-                genuine_scores(model, Metric.COSINE, 500, unit_norm=False, seed=7),
+                genuine_scores(model, Metric.COSINE, 500, seed=7),
             )
 
         mapped = draw()
@@ -402,6 +393,29 @@ class TestPersistence:
         manifest.write_text(manifest.read_text().replace("matchbreak-model-v1", "other"))
         with pytest.raises(ValueError, match="format"):
             load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 5.9), ("seed", True), ("seed", -1), ("dim", 16.0), ("within_noise_sigma", "0.1"),
+    ])
+    def test_manifest_values_are_checked_not_coerced(self, tmp_path, model, key, value):
+        """A seed of 5.9 once loaded as 5 and ``true`` as 1, and enrolled
+        other templates without a word."""
+        save_model(model, tmp_path / "m")
+        manifest = tmp_path / "m" / "model.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises((TypeError, ValueError), match=key):
+            load_model(tmp_path / "m")
+
+    def test_model_keeps_the_checked_values(self, model):
+        """One number spelt two ways makes one model."""
+        spelt = IdentityModel(
+            dim=np.int64(model.dim), num_identities=model.num_identities, centers=model.centers,
+            within_noise_sigma=np.float32(0.5), center_concentration=0, seed=np.uint64(model.seed),
+        )
+        assert (type(spelt.dim), type(spelt.seed)) == (int, int)
+        assert (spelt.within_noise_sigma, spelt.center_concentration) == (0.5, 0.0)
+        assert type(spelt.center_concentration) is float
 
 
 def test_identity_model_validates_center_norms():
